@@ -318,9 +318,11 @@ impl Wallet {
     /// Unlike [`Wallet::spend`], selection runs the degrade ladder: the
     /// budget (in virtual ticks — see `dams_svc::Frontend`) buys as much
     /// exact search as it affords and falls back to the approximation
-    /// tiers otherwise. A budget below the configured reserve, or an
-    /// open exact-tier circuit when `require_exact` is set, sheds the
+    /// tiers otherwise. A budget below the configured reserve sheds the
     /// request with [`WalletError::Shed`] *before* any work runs.
+    /// Each call builds a fresh frontend whose circuit breaker starts
+    /// closed, so breaker state does not carry across calls: an open
+    /// circuit never sheds a `require_exact` spend here.
     /// Metrics land in `registry` under `svc.*` / `core.*`.
     #[allow(clippy::too_many_arguments)]
     pub fn spend_with_budget<R: Rng + ?Sized>(

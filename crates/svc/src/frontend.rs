@@ -1,33 +1,29 @@
-//! A synchronous, single-caller facade over the service's admission and
-//! circuit-breaking logic, for embedding in `dams-node`'s wallet.
+//! A synchronous, single-caller facade over the admission state machine,
+//! for embedding in `dams-node`'s wallet.
 //!
 //! The full [`Service`](crate::service::Service) simulates queueing over
 //! an arrival schedule; a wallet instead makes one blocking selection at
-//! a time. [`Frontend`] applies the same protections without the queue:
-//! deadline-infeasible budgets and circuit-open exact requirements are
-//! refused with a typed [`ShedReason`] *before* any search runs, exact
-//! grants are derived from the same reserve arithmetic
-//! ([`crate::admission`]), and the breaker advances on a
-//! [`MonoClock`](crate::clock::MonoClock) — virtual ticks priced from
-//! each call's own work by default, or wall-clock ticks when embedded in
-//! a real runtime. Either way the breaker cooldown runs through the
-//! *same* code path: `advance` is simply a no-op on a wall clock.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! a time. [`Frontend`] drives the same `Admission` state machine
+//! without a queue: each call runs `arrive` and then `dispatch` with zero
+//! wait at one reading of its [`MonoClock`], so deadline-infeasible
+//! budgets, unsatisfiable anonymity floors and circuit-open exact
+//! requirements are refused with a typed [`ShedReason`] *before* any
+//! search runs. The answer is then settled in line: priced, fed to the
+//! breaker, and counted as a met or missed deadline by comparing its
+//! priced cost to the budget. The clock is virtual ticks advanced by each
+//! call's priced work by default, or wall-clock ticks when embedded in a
+//! real runtime — `advance` is simply a no-op on a wall clock.
 
 use dams_core::{
-    select_with_ladder_exec, CoreMetrics, DegradedSelection, Instance, LadderExec,
-    ModularInstance, SelectionPolicy, Tier,
+    CoreMetrics, DegradedSelection, Instance, LadderExec, ModularInstance, SelectionPolicy,
 };
 use dams_diversity::TokenId;
 use dams_obs::Registry;
 
-use crate::admission;
-use crate::breaker::{BreakerConfig, CircuitBreaker, CircuitState};
+use crate::admission::{Admission, Arrival, Dispatch, Finish};
+use crate::breaker::{BreakerConfig, CircuitState};
 use crate::clock::MonoClock;
-use crate::obs::SvcMetrics;
-use crate::service::ShedReason;
+use crate::service::{Priority, Request, ShedReason, SvcConfig};
 
 /// Frontend tuning (the queueless subset of the service config).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,11 +55,9 @@ impl Default for FrontendConfig {
 pub struct Frontend<'a> {
     instance: &'a Instance,
     policy: SelectionPolicy,
-    cfg: FrontendConfig,
-    breaker: CircuitBreaker,
-    metrics: SvcMetrics,
+    bfs_workers: usize,
+    adm: Admission,
     core: CoreMetrics,
-    rng: StdRng,
     /// The breaker/deadline clock: virtual ticks advanced by priced work,
     /// or wall time in a real runtime (`advance` no-ops there).
     clock: MonoClock,
@@ -91,23 +85,27 @@ impl<'a> Frontend<'a> {
         registry: &Registry,
         clock: MonoClock,
     ) -> Self {
-        let metrics = SvcMetrics::in_registry(registry);
-        metrics.circuit_state.set(CircuitState::Closed.gauge_value());
+        // Queueless and interactive-only: the queue, retry and stall
+        // settings of the service config never apply.
+        let svc = SvcConfig {
+            ticks_per_candidate: cfg.ticks_per_candidate,
+            reserve_ticks: cfg.reserve_ticks,
+            breaker: cfg.breaker,
+            ..SvcConfig::default()
+        };
         Frontend {
             instance,
             policy,
-            cfg,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            metrics,
+            bfs_workers: cfg.bfs_workers,
+            adm: Admission::new(svc, cfg.seed ^ 0xf07e_57a7, registry, None),
             core: CoreMetrics::in_registry(registry),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xf07e_57a7),
             clock,
         }
     }
 
     /// The breaker's current state (for tests and introspection).
     pub fn circuit_state(&self) -> CircuitState {
-        self.breaker.state()
+        self.adm.circuit_state()
     }
 
     /// One admission-controlled selection. `budget_ticks` is the caller's
@@ -125,9 +123,9 @@ impl<'a> Frontend<'a> {
 
     /// Like [`Frontend::select`], but honouring a declared anonymity
     /// floor: only ladder tiers whose measured
-    /// [`Tier::anonymity_score`] meets `anonymity_floor` may answer, and
-    /// a floor no tier meets is refused as
-    /// [`ShedReason::AnonymityFloor`] before any search runs.
+    /// [`Tier::anonymity_score`](dams_core::Tier::anonymity_score) meets
+    /// `anonymity_floor` may answer, and a floor no tier meets is refused
+    /// as [`ShedReason::AnonymityFloor`] before any search runs.
     pub fn select_floored(
         &mut self,
         target: TokenId,
@@ -174,118 +172,44 @@ impl<'a> Frontend<'a> {
         require_exact: bool,
         anonymity_floor: u32,
     ) -> Result<DegradedSelection, ShedReason> {
-        self.metrics.offered.inc();
-        if budget_ticks < self.cfg.reserve_ticks {
-            self.metrics.shed_deadline_infeasible.inc();
-            return Err(ShedReason::DeadlineInfeasible);
-        }
-        // Floor feasibility is static: if even the full ladder has no
-        // qualifying tier (or the required exact tier is floored out),
-        // breaker recovery can never make the request answerable.
-        if anonymity_floor > 0 {
-            let full = admission::floored_ladder(true, anonymity_floor);
-            let exact_floored =
-                require_exact && Tier::ExactBfs.anonymity_score() < anonymity_floor;
-            if full.is_empty() || exact_floored {
-                self.metrics.shed_anonymity_floor.inc();
-                return Err(ShedReason::AnonymityFloor);
-            }
-        }
-        let (exact_ok, tr) = self.breaker.exact_allowed(self.clock.now());
-        self.surface(tr);
-        if require_exact && !exact_ok {
-            self.metrics.shed_circuit_open.inc();
-            return Err(ShedReason::CircuitOpen);
-        }
-        // A floored-out exact tier gets no grant and gives no breaker
-        // feedback, exactly as if the breaker had denied it.
-        let exact_ok = exact_ok && Tier::ExactBfs.anonymity_score() >= anonymity_floor;
-        let ladder = admission::floored_ladder(exact_ok, anonymity_floor);
-        if ladder.is_empty() {
-            self.metrics.shed_anonymity_floor.inc();
-            return Err(ShedReason::AnonymityFloor);
-        }
-        self.metrics.admitted.inc();
-
-        let grant = admission::exact_grant(
-            budget_ticks,
-            self.cfg.reserve_ticks,
-            self.cfg.ticks_per_candidate,
-            exact_ok,
-        );
-        let outcome = select_with_ladder_exec(
-            instance,
+        let now = self.clock.now();
+        let req = Request {
+            id: 0,
             target,
-            self.policy,
-            admission::grant_budget(grant),
-            &ladder,
-            &self.core,
-            &LadderExec {
-                workers: self.cfg.bfs_workers,
-                cache: None,
-                modular,
-            },
-        );
-
-        // Price the call and credit the clock (no-op on wall clocks:
-        // real time already passed while the search ran).
-        let cost = admission::price_outcome(
-            &outcome,
-            exact_ok,
-            grant,
-            self.cfg.ticks_per_candidate,
-        );
-        self.metrics.service.record(cost);
-        self.clock.advance(cost);
-
-        match admission::breaker_feedback(&outcome, exact_ok) {
-            Some(true) => {
-                let jitter = self.rng.gen_range(0..=self.cfg.breaker.cooldown.max(4) / 4);
-                let tr = self.breaker.on_fallback(self.clock.now(), jitter);
-                self.surface(tr);
-            }
-            Some(false) => {
-                let tr = self.breaker.on_exact_success();
-                self.surface(tr);
-            }
-            None => {}
-        }
-
-        match outcome {
-            Ok(sel) => {
-                self.metrics.completed.inc();
-                self.metrics.deadline_met.inc();
-                if sel.tier != Tier::ExactBfs {
-                    self.metrics.degraded.inc();
+            class: Priority::Interactive,
+            budget: budget_ticks,
+            require_exact,
+            anonymity_floor,
+        };
+        let shed = match self.adm.arrive(now, req, 1, false, None) {
+            Arrival::Admitted(q) => match self.adm.dispatch(now, q) {
+                Dispatch::Run(grant) => {
+                    let exec = LadderExec {
+                        workers: self.bfs_workers,
+                        cache: None,
+                        modular,
+                    };
+                    let outcome = grant.select(instance, self.policy, &self.core, &exec);
+                    let finish = Finish::Clock(&mut self.clock);
+                    self.adm.settle(&grant, &outcome, finish);
+                    // Terminal selection errors surface as an infeasible
+                    // deadline: the caller's budget cannot buy an answer.
+                    return outcome.map_err(|_| ShedReason::DeadlineInfeasible);
                 }
-                Ok(sel)
-            }
-            Err(_) => {
-                self.metrics.failed.inc();
-                // Terminal selection errors surface as an infeasible
-                // deadline: the caller's budget cannot buy an answer.
-                Err(ShedReason::DeadlineInfeasible)
-            }
-        }
-    }
-
-    fn surface(&self, tr: Option<crate::breaker::Transition>) {
-        use crate::breaker::Transition;
-        let Some(tr) = tr else { return };
-        match tr {
-            Transition::Opened => self.metrics.circuit_opened.inc(),
-            Transition::HalfOpened => self.metrics.circuit_half_open.inc(),
-            Transition::Closed => self.metrics.circuit_closed.inc(),
-        }
-        self.metrics
-            .circuit_state
-            .set(self.breaker.state().gauge_value());
+                Dispatch::Shed(shed) => shed,
+            },
+            Arrival::Shed(shed) => shed,
+            Arrival::Duplicate => unreachable!("a queueless frontend tracks no ids"),
+        };
+        Err(shed.reason)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::Service;
+    use dams_core::Tier;
     use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
 
     fn instance(n: u32) -> Instance {
@@ -384,5 +308,39 @@ mod tests {
         // Non-exact callers still get degraded answers while open.
         assert!(f.select(TokenId(1), 1 << 20, false).is_ok());
         assert!(registry.snapshot().counter("svc.circuit.opened_total").unwrap() >= 1);
+    }
+
+    #[test]
+    fn deadline_accounting_compares_priced_cost_to_budget_as_the_service_does() {
+        // A 1-tick budget clears a 1-tick reserve but buys no exact
+        // candidates: the cheap tier answers, and its priced cost overruns
+        // the budget. Both serving paths must count that as a miss.
+        let inst = instance(8);
+        let registry = Registry::new();
+        let cfg = FrontendConfig {
+            reserve_ticks: 1,
+            ..FrontendConfig::default()
+        };
+        let mut f = Frontend::new(&inst, policy(), cfg, &registry);
+        let sel = f.select(TokenId(0), 1, false).expect("a degraded answer");
+        assert_ne!(sel.tier, Tier::ExactBfs);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("svc.deadline.missed_total"), Some(1));
+        assert_eq!(snap.counter("svc.deadline.met_total"), Some(0));
+
+        let svc_cfg = SvcConfig {
+            reserve_ticks: 1,
+            ..SvcConfig::default()
+        };
+        let req = Request {
+            id: 0,
+            target: TokenId(0),
+            class: Priority::Interactive,
+            budget: 1,
+            require_exact: false,
+            anonymity_floor: 0,
+        };
+        let report = Service::new(&inst, policy(), svc_cfg).run(&[(0, req)]);
+        assert_eq!((report.deadline_met, report.deadline_missed), (0, 1));
     }
 }

@@ -6,6 +6,10 @@
 //! question above it: what happens when many requests compete for
 //! bounded capacity?
 //!
+//! * `admission` — the one admission state machine (`arrive`,
+//!   `dispatch`, `settle`) that the service, the frontend and the runtime
+//!   all drive: typed sheds, the exact grant, pricing, breaker feedback
+//!   and terminal accounting.
 //! * [`service`] — a deterministic multi-worker discrete-event service:
 //!   bounded priority queues, typed admission-control sheds
 //!   ([`ShedReason`]), end-to-end deadline propagation (queue wait is
@@ -35,7 +39,7 @@
 //! search thread counts (`bfs_workers`), which the property tests
 //! assert on rendered snapshots.
 
-pub mod admission;
+mod admission;
 pub mod breaker;
 pub mod clock;
 pub mod cluster;
@@ -58,10 +62,8 @@ pub use differential::{
 };
 pub use frontend::{Frontend, FrontendConfig};
 pub use obs::{RuntimeMetrics, SvcMetrics};
-pub use runtime::{
-    run_runtime, ClientTally, Pace, RuntimeConfig, RuntimeReport, TerminalFate, TerminalLedger,
-    Transport,
-};
+pub use admission::{TerminalFate, TerminalLedger};
+pub use runtime::{run_runtime, ClientTally, Pace, RuntimeConfig, RuntimeReport, Transport};
 pub use overload::{
     build_arrivals, calibrate, render_bench_json, run_overload, run_ramp, service_config,
     Calibration, OverloadConfig,

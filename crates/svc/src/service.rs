@@ -2,6 +2,11 @@
 //! simulation of admission control, queueing, deadline propagation, and
 //! circuit breaking in front of `dams-core`'s degrade ladder.
 //!
+//! The service is one of three serving paths that run the `Admission`
+//! state machine (`crate::admission`), which makes every admission
+//! decision described below. The service keeps only the event heap, the
+//! class queues and the worker pool, and settles each request at dispatch.
+//!
 //! # Why a virtual clock
 //!
 //! Overload behaviour must be *provable*: the acceptance gate replays a
@@ -45,20 +50,15 @@
 //! exactly that.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use dams_core::{
-    select_with_ladder_exec, CoreMetrics, Instance, LadderExec, SelectionPolicy, Tier,
-};
+use dams_core::{CoreMetrics, Instance, LadderExec, SelectionPolicy};
 use dams_diversity::TokenId;
-use dams_obs::{Mode, Registry};
+use dams_obs::Registry;
 
-use crate::admission;
-use crate::breaker::{BreakerConfig, CircuitBreaker, CircuitState, Transition};
-use crate::obs::SvcMetrics;
+use crate::admission::{Admission, Arrival, Dispatch, Finish, Queues, Retry, TerminalLedger};
+use crate::breaker::BreakerConfig;
 use crate::retry::RetryPolicy;
 
 /// Priority class of a request.
@@ -109,10 +109,10 @@ pub struct Request {
     /// Refuse degraded answers: shed with [`ShedReason::CircuitOpen`]
     /// instead of running without an exact grant.
     pub require_exact: bool,
-    /// Minimum measured [`Tier::anonymity_score`] an answering tier must
-    /// have (`0` = no floor). Ladder tiers below the floor are never run
-    /// for this request; if none qualifies it is shed as
-    /// [`ShedReason::AnonymityFloor`].
+    /// Minimum measured [`Tier::anonymity_score`](dams_core::Tier::anonymity_score)
+    /// an answering tier must have (`0` = no floor). Ladder tiers below
+    /// the floor are never run for this request; if none qualifies it is
+    /// shed as [`ShedReason::AnonymityFloor`].
     pub anonymity_floor: u32,
 }
 
@@ -162,21 +162,15 @@ impl Default for SvcConfig {
     }
 }
 
-/// The terminal fate of one unique request id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Terminal {
-    Completed { met: bool },
-    Shed(ShedReason),
-    Failed,
-}
-
-#[derive(Debug, Clone)]
-enum EventKind {
+/// A timed event: an arrival (first offer, retry or hedge twin) or a
+/// worker coming free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EventKind {
     Arrival { req: Request, attempt: u32, hedge: bool },
     WorkerFree(usize),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Event {
     tick: u64,
     seq: u64,
@@ -200,18 +194,51 @@ impl Ord for Event {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Queued {
-    req: Request,
-    attempt: u32,
-    hedge: bool,
-    enqueued: u64,
+/// An event heap: events pop in tick order, ties in push order.
+#[derive(Debug, Default)]
+pub(crate) struct Events {
+    heap: BinaryHeap<Reverse<Event>>,
+    next_seq: u64,
+}
+
+impl Events {
+    pub(crate) fn push(&mut self, tick: u64, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Event { tick, seq, kind }));
+    }
+
+    /// Schedule a shed's retry and its hedge twin, if any.
+    pub(crate) fn schedule(&mut self, retry: Option<Retry>) {
+        let Some(r) = retry else { return };
+        let (req, attempt) = (r.req, r.attempt);
+        self.push(r.at, EventKind::Arrival { req, attempt, hedge: false });
+        if let Some(at) = r.hedge_at {
+            self.push(at, EventKind::Arrival { req, attempt, hedge: true });
+        }
+    }
+
+    /// The next event due at or before `now` (every event for `u64::MAX`).
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<(u64, EventKind)> {
+        match self.heap.peek() {
+            Some(Reverse(e)) if e.tick <= now => self.heap.pop().map(|Reverse(e)| (e.tick, e.kind)),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.tick)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
 }
 
 /// Aggregated outcome of one simulation run. Terminal accounting is per
 /// unique request id, so `completed + failed + shed_* == offered` holds
 /// exactly (the overload property tests assert it for every seed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SvcReport {
     pub offered: u64,
     /// Admission grants (events — a retried request admits repeatedly).
@@ -266,44 +293,28 @@ pub struct Service<'a> {
     policy: SelectionPolicy,
     cfg: SvcConfig,
     registry: Registry,
-    metrics: SvcMetrics,
+    adm: Admission,
     core: CoreMetrics,
-    breaker: CircuitBreaker,
-    rng: StdRng,
-    events: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    interactive: VecDeque<Queued>,
-    batch: VecDeque<Queued>,
+    events: Events,
+    queues: Queues,
     idle: VecDeque<usize>,
-    terminal: HashMap<u64, Terminal>,
-    offered_ids: u64,
-    dispatches: u64,
     final_tick: u64,
 }
 
 impl<'a> Service<'a> {
     pub fn new(instance: &'a Instance, policy: SelectionPolicy, cfg: SvcConfig) -> Self {
         let registry = Registry::new();
-        let metrics = SvcMetrics::in_registry(&registry);
-        let core = CoreMetrics::in_registry(&registry);
-        metrics.circuit_state.set(CircuitState::Closed.gauge_value());
+        let ledger = Some(Arc::new(TerminalLedger::new()));
         Service {
             instance,
             policy,
             cfg,
-            metrics,
-            core,
+            adm: Admission::new(cfg, cfg.seed ^ 0x5e1e_c75e, &registry, ledger),
+            core: CoreMetrics::in_registry(&registry),
             registry,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x5e1e_c75e),
-            events: BinaryHeap::new(),
-            next_seq: 0,
-            interactive: VecDeque::new(),
-            batch: VecDeque::new(),
+            events: Events::default(),
+            queues: Queues::default(),
             idle: (0..cfg.workers.max(1)).collect(),
-            terminal: HashMap::new(),
-            offered_ids: 0,
-            dispatches: 0,
             final_tick: 0,
         }
     }
@@ -317,324 +328,53 @@ impl<'a> Service<'a> {
     /// need not be sorted; ties settle in input order.
     pub fn run(&mut self, arrivals: &[(u64, Request)]) -> SvcReport {
         for &(tick, req) in arrivals {
-            self.push_event(
-                tick,
-                EventKind::Arrival {
-                    req,
-                    attempt: 1,
-                    hedge: false,
-                },
-            );
+            let arrival = EventKind::Arrival {
+                req,
+                attempt: 1,
+                hedge: false,
+            };
+            self.events.push(tick, arrival);
         }
-        while let Some(Reverse(ev)) = self.events.pop() {
-            self.final_tick = self.final_tick.max(ev.tick);
-            match ev.kind {
+        while let Some((now, kind)) = self.events.pop_due(u64::MAX) {
+            self.final_tick = self.final_tick.max(now);
+            match kind {
                 EventKind::Arrival { req, attempt, hedge } => {
-                    self.on_arrival(ev.tick, req, attempt, hedge);
+                    match self.adm.arrive(now, req, attempt, hedge, Some(&self.queues)) {
+                        Arrival::Duplicate => {}
+                        Arrival::Admitted(q) => self.queues.push(q),
+                        Arrival::Shed(shed) => self.events.schedule(shed.retry),
+                    }
                 }
-                EventKind::WorkerFree(w) => {
-                    self.idle.push_back(w);
-                }
+                EventKind::WorkerFree(w) => self.idle.push_back(w),
             }
-            self.dispatch_all(ev.tick);
+            self.dispatch_all(now);
         }
-        self.report()
-    }
-
-    fn push_event(&mut self, tick: u64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Reverse(Event { tick, seq, kind }));
-    }
-
-    fn on_arrival(&mut self, now: u64, req: Request, attempt: u32, hedge: bool) {
-        if attempt == 1 && !hedge {
-            self.offered_ids += 1;
-            self.metrics.offered.inc();
-        }
-        if self.terminal.contains_key(&req.id) {
-            // A twin (hedge or primary) already settled this id.
-            if hedge {
-                self.metrics.hedges_wasted.inc();
-            }
-            return;
-        }
-        // Admission: deadline feasibility first — a budget below the
-        // cheap-tier reserve can never finish, no matter the queue.
-        if req.budget < self.cfg.reserve_ticks {
-            self.shed(now, req, attempt, hedge, ShedReason::DeadlineInfeasible);
-            return;
-        }
-        // Anonymity floor next: if even the full ladder has no tier whose
-        // measured anonymity score meets the floor (or the request insists
-        // on an exact tier the floor rules out), no amount of queueing or
-        // breaker recovery can ever answer it compliantly.
-        if req.anonymity_floor > 0 {
-            let full = admission::floored_ladder(true, req.anonymity_floor);
-            let exact_floored =
-                req.require_exact && Tier::ExactBfs.anonymity_score() < req.anonymity_floor;
-            if full.is_empty() || exact_floored {
-                self.shed(now, req, attempt, hedge, ShedReason::AnonymityFloor);
-                return;
-            }
-        }
-        // Exact-only requests are refused outright while the circuit is
-        // open: queueing them would only burn their budget.
-        if req.require_exact {
-            let (allowed, tr) = self.breaker.exact_allowed(now);
-            self.surface(tr);
-            if !allowed {
-                self.shed(now, req, attempt, hedge, ShedReason::CircuitOpen);
-                return;
-            }
-        }
-        let queue = match req.class {
-            Priority::Interactive => &mut self.interactive,
-            Priority::Batch => &mut self.batch,
-        };
-        if queue.len() >= self.cfg.queue_capacity {
-            self.shed(now, req, attempt, hedge, ShedReason::QueueFull);
-            return;
-        }
-        queue.push_back(Queued {
-            req,
-            attempt,
-            hedge,
-            enqueued: now,
-        });
-        self.metrics.admitted.inc();
-        self.metrics
-            .queue_depth_peak
-            .set_max((self.interactive.len() + self.batch.len()) as i64);
-    }
-
-    /// Record a shed event and either schedule a retry (+ optional hedge)
-    /// or settle the id terminally.
-    fn shed(&mut self, now: u64, req: Request, attempt: u32, hedge: bool, reason: ShedReason) {
-        match reason {
-            ShedReason::QueueFull => self.metrics.shed_queue_full.inc(),
-            ShedReason::DeadlineInfeasible => self.metrics.shed_deadline_infeasible.inc(),
-            ShedReason::CircuitOpen => self.metrics.shed_circuit_open.inc(),
-            ShedReason::AnonymityFloor => self.metrics.shed_anonymity_floor.inc(),
-        }
-        // Hedge copies never settle the id: their primary twin does.
-        if hedge {
-            return;
-        }
-        // Deadline and floor sheds are terminal: a retry re-offers the
-        // same budget (resp. the same floor against the same measured
-        // tier scores), so it can never fare better.
-        let retryable = req.class == Priority::Batch
-            && reason != ShedReason::DeadlineInfeasible
-            && reason != ShedReason::AnonymityFloor
-            && self.cfg.retry.may_retry(attempt);
-        if retryable {
-            let backoff = self.cfg.retry.backoff_ticks(attempt, &mut self.rng);
-            self.metrics.retries.inc();
-            self.push_event(
-                now + backoff,
-                EventKind::Arrival {
-                    req,
-                    attempt: attempt + 1,
-                    hedge: false,
-                },
-            );
-            if self.cfg.hedge_batch {
-                // Staggered duplicate: whichever twin settles first wins,
-                // the other is deduplicated on arrival or dispatch.
-                self.metrics.hedges_spawned.inc();
-                self.push_event(
-                    now + backoff + 1 + backoff / 2,
-                    EventKind::Arrival {
-                        req,
-                        attempt: attempt + 1,
-                        hedge: true,
-                    },
-                );
-            }
-        } else {
-            self.terminal.insert(req.id, Terminal::Shed(reason));
-        }
-    }
-
-    fn surface(&self, tr: Option<Transition>) {
-        let Some(tr) = tr else { return };
-        match tr {
-            Transition::Opened => self.metrics.circuit_opened.inc(),
-            Transition::HalfOpened => self.metrics.circuit_half_open.inc(),
-            Transition::Closed => self.metrics.circuit_closed.inc(),
-        }
-        self.metrics
-            .circuit_state
-            .set(self.breaker.state().gauge_value());
+        self.adm.report(self.final_tick, &self.registry)
     }
 
     /// Pair idle workers with queued requests until one side runs dry.
+    /// The sim settles each request at dispatch: its outcome is known at
+    /// once, and its worker frees `cost + stall` ticks later.
     fn dispatch_all(&mut self, now: u64) {
         while !self.idle.is_empty() {
-            let Some(q) = self
-                .interactive
-                .pop_front()
-                .or_else(|| self.batch.pop_front())
-            else {
-                return;
-            };
-            if self.terminal.contains_key(&q.req.id) {
-                if q.hedge {
-                    self.metrics.hedges_wasted.inc();
+            let Some(q) = self.queues.pop(&self.adm) else { return };
+            let worker = self.idle.pop_front().expect("an idle worker");
+            match self.adm.dispatch(now, q) {
+                Dispatch::Shed(shed) => {
+                    self.events.schedule(shed.retry);
+                    self.idle.push_back(worker);
                 }
-                continue;
-            }
-            let Some(worker) = self.idle.pop_front() else {
-                return;
-            };
-            self.dispatch(now, worker, q);
-        }
-    }
-
-    fn dispatch(&mut self, now: u64, worker: usize, q: Queued) {
-        let waited = now - q.enqueued;
-        self.metrics.queue_wait.record(waited);
-        let remaining = q.req.budget.saturating_sub(waited);
-        if remaining < self.cfg.reserve_ticks {
-            // Queue wait ate the budget: shed instead of missing.
-            self.shed(now, q.req, q.attempt, q.hedge, ShedReason::DeadlineInfeasible);
-            self.idle.push_back(worker);
-            return;
-        }
-
-        let (exact_ok, tr) = self.breaker.exact_allowed(now);
-        self.surface(tr);
-        // The anonymity floor narrows the ladder *before* any budget is
-        // granted: a floored-out exact tier gets no grant (and gives no
-        // breaker feedback), exactly as if the breaker had denied it.
-        let exact_ok =
-            exact_ok && Tier::ExactBfs.anonymity_score() >= q.req.anonymity_floor;
-        let ladder = admission::floored_ladder(exact_ok, q.req.anonymity_floor);
-        if ladder.is_empty() {
-            self.shed(now, q.req, q.attempt, q.hedge, ShedReason::AnonymityFloor);
-            self.idle.push_back(worker);
-            return;
-        }
-        let grant_candidates = admission::exact_grant(
-            remaining,
-            self.cfg.reserve_ticks,
-            self.cfg.ticks_per_candidate,
-            exact_ok,
-        );
-        let exec = LadderExec {
-            workers: self.cfg.bfs_workers,
-            cache: None,
-            modular: None,
-        };
-        let outcome = select_with_ladder_exec(
-            self.instance,
-            q.req.target,
-            self.policy,
-            admission::grant_budget(grant_candidates),
-            &ladder,
-            &self.core,
-            &exec,
-        );
-
-        self.dispatches += 1;
-        let stall = if self.cfg.stall_every > 0 && self.dispatches.is_multiple_of(self.cfg.stall_every) {
-            self.metrics.stalls_injected.inc();
-            self.metrics.stall_ticks.add(self.cfg.stall_ticks);
-            self.cfg.stall_ticks
-        } else {
-            0
-        };
-
-        let cost = admission::price_outcome(
-            &outcome,
-            exact_ok,
-            grant_candidates,
-            self.cfg.ticks_per_candidate,
-        );
-        self.metrics.service.record(cost);
-        let finish = now + cost + stall;
-        self.push_event(finish, EventKind::WorkerFree(worker));
-
-        // Breaker feedback: only grants count. A deadline-driven fallback
-        // (burned probe or zero-grant skip) strikes; an exact answer heals.
-        match admission::breaker_feedback(&outcome, exact_ok) {
-            Some(true) => {
-                let jitter = self.rng.gen_range(0..=self.cfg.breaker.cooldown.max(4) / 4);
-                let tr = self.breaker.on_fallback(now, jitter);
-                self.surface(tr);
-            }
-            Some(false) => {
-                let tr = self.breaker.on_exact_success();
-                self.surface(tr);
-            }
-            None => {}
-        }
-
-        match outcome {
-            Ok(sel) => {
-                let latency = finish - q.enqueued;
-                self.metrics.latency.record(latency);
-                let met = latency <= q.req.budget;
-                if met {
-                    self.metrics.deadline_met.inc();
-                } else {
-                    self.metrics.deadline_missed.inc();
+                Dispatch::Run(grant) => {
+                    let exec = LadderExec {
+                        workers: self.cfg.bfs_workers,
+                        cache: None,
+                        modular: None,
+                    };
+                    let outcome = grant.select(self.instance, self.policy, &self.core, &exec);
+                    let settled = self.adm.settle(&grant, &outcome, Finish::Priced);
+                    self.events.push(settled.finish, EventKind::WorkerFree(worker));
                 }
-                if sel.tier != Tier::ExactBfs {
-                    self.metrics.degraded.inc();
-                }
-                self.metrics.completed.inc();
-                self.terminal.insert(q.req.id, Terminal::Completed { met });
             }
-            Err(_) => {
-                self.metrics.failed.inc();
-                self.terminal.insert(q.req.id, Terminal::Failed);
-            }
-        }
-    }
-
-    fn report(&self) -> SvcReport {
-        let mut completed = 0;
-        let mut failed = 0;
-        let mut met = 0;
-        let mut missed = 0;
-        let mut shed_queue_full = 0;
-        let mut shed_deadline = 0;
-        let mut shed_circuit = 0;
-        let mut shed_floor = 0;
-        for t in self.terminal.values() {
-            match t {
-                Terminal::Completed { met: m } => {
-                    completed += 1;
-                    if *m {
-                        met += 1;
-                    } else {
-                        missed += 1;
-                    }
-                }
-                Terminal::Failed => failed += 1,
-                Terminal::Shed(ShedReason::QueueFull) => shed_queue_full += 1,
-                Terminal::Shed(ShedReason::DeadlineInfeasible) => shed_deadline += 1,
-                Terminal::Shed(ShedReason::CircuitOpen) => shed_circuit += 1,
-                Terminal::Shed(ShedReason::AnonymityFloor) => shed_floor += 1,
-            }
-        }
-        SvcReport {
-            offered: self.offered_ids,
-            admitted_events: self.metrics.admitted.get(),
-            completed,
-            failed,
-            shed_queue_full,
-            shed_deadline_infeasible: shed_deadline,
-            shed_circuit_open: shed_circuit,
-            shed_anonymity_floor: shed_floor,
-            deadline_met: met,
-            deadline_missed: missed,
-            p50_latency_ticks: self.metrics.latency.quantile(0.5).unwrap_or(0),
-            p99_latency_ticks: self.metrics.latency.quantile(0.99).unwrap_or(0),
-            final_tick: self.final_tick,
-            snapshot: self.registry.snapshot().render_text(Mode::Deterministic),
         }
     }
 }
@@ -642,6 +382,7 @@ impl<'a> Service<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dams_core::Tier;
     use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
 
     fn instance(n: u32) -> Instance {

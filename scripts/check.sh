@@ -12,6 +12,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test --workspace
 
+echo "== benchmark package =="
+# spendbench is a workspace of its own that links Frontend::select_on and
+# the wire codec; lint and test it here so an API change cannot break the
+# benchmark unnoticed.
+cargo clippy --offline --manifest-path spendbench/Cargo.toml --all-targets -- -D warnings
+cargo test --release --offline --manifest-path spendbench/Cargo.toml
+python3 -m unittest discover -s spendbench
+
 echo "== docs =="
 cargo doc --workspace --no-deps
 
