@@ -213,14 +213,6 @@ impl Chain {
         self.consumed_images.contains(&image.value())
     }
 
-    /// The consumed-key-image set in sorted order (stable across runs, for
-    /// checkpoint attestation and recovery cross-checks).
-    pub fn consumed_images_sorted(&self) -> Vec<u64> {
-        let mut images: Vec<u64> = self.consumed_images.iter().copied().collect();
-        images.sort_unstable();
-        images
-    }
-
     /// Step 3 verification of a transaction against the current state.
     pub fn verify_transaction(
         &self,

@@ -294,10 +294,13 @@ impl SimNode {
 
     /// Checkpoint opportunistically after an adoption. A checkpoint
     /// failure never loses data (the WAL has every block) so it degrades
-    /// the node's recovery speed, not its correctness.
+    /// the node's recovery speed, not its correctness: it is counted, and
+    /// the next adoption retries.
     fn after_adopt(&mut self) {
         if let Some(store) = &mut self.store {
-            let _ = store.maybe_checkpoint(&self.chain);
+            if store.maybe_checkpoint(&self.chain).is_err() {
+                NodeMetrics::global().store_checkpoint_errors.inc();
+            }
         }
     }
 
@@ -1045,6 +1048,60 @@ mod tests {
         node.chain_mut().submit_coinbase(outs);
         node.seal_block().unwrap();
         assert_eq!(node.index().unwrap().token_count(), 4);
+    }
+
+    /// A device whose fsync always fails; everything else is in memory.
+    struct FailingSync(dams_store::MemBackend);
+
+    impl Backend for FailingSync {
+        fn len(&mut self) -> Result<u64, StoreError> {
+            self.0.len()
+        }
+        fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
+            self.0.read_all()
+        }
+        fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+            self.0.append(bytes)
+        }
+        fn sync(&mut self) -> Result<(), StoreError> {
+            Err(StoreError::Io("fsync failed".into()))
+        }
+        fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
+            self.0.truncate(len)
+        }
+        fn crash(&mut self) {
+            self.0.crash()
+        }
+    }
+
+    #[test]
+    fn failed_checkpoints_are_counted_and_retried() {
+        let group = SchnorrGroup::default();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut node = SimNode::new(0, group);
+        let recovered = dams_store::Store::open(
+            Box::new(dams_store::MemBackend::new()),
+            Box::new(FailingSync(dams_store::MemBackend::new())),
+            group,
+            StoreConfig::default(),
+        )
+        .unwrap();
+        node.attach_store(recovered).unwrap();
+        let errors = &NodeMetrics::global().store_checkpoint_errors;
+        let before = errors.get();
+        for _ in 0..6 {
+            let outs = vec![TokenOutput {
+                owner: KeyPair::generate(&group, &mut rng).public,
+                amount: Amount(1),
+            }];
+            node.chain_mut().submit_coinbase(outs);
+            node.seal_block().expect("a failed checkpoint does not fail the seal");
+        }
+        // Interval 4: heights 4, 5 and 6 each attempt a checkpoint, and
+        // each fails at the checkpoint device's fsync.
+        assert_eq!(errors.get() - before, 3);
+        assert_eq!(node.store().unwrap().checkpoint_height(), 0);
+        assert_eq!(node.chain().height(), 7);
     }
 
     #[test]

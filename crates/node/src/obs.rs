@@ -53,6 +53,10 @@ pub struct NodeMetrics {
     /// `node.store.restore_flagged_total` — store restores whose recovery
     /// report was not clean (corruption or immutability violations).
     pub store_restore_flagged: Counter,
+    /// `node.store.checkpoint_errors_total` — opportunistic checkpoints
+    /// after an adoption that failed (the WAL still holds every block, so
+    /// only recovery speed suffers; the next adoption retries).
+    pub store_checkpoint_errors: Counter,
     /// `node.gossip.announcements_total` — tip announcements sent by
     /// cluster anti-entropy rounds.
     pub gossip_announcements: Counter,
@@ -138,6 +142,7 @@ impl NodeMetrics {
             parent_requests: registry.counter("node.parent.requests_total"),
             store_restores: registry.counter("node.store.restores_total"),
             store_restore_flagged: registry.counter("node.store.restore_flagged_total"),
+            store_checkpoint_errors: registry.counter("node.store.checkpoint_errors_total"),
             gossip_announcements: registry.counter("node.gossip.announcements_total"),
             gossip_range_requests: registry.counter("node.gossip.range_requests_total"),
             gossip_range_blocks_served: registry

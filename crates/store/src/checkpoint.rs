@@ -10,11 +10,19 @@
 //! A lost fsync that swallowed attested records is caught this way, which
 //! a bare WAL scan can never do.
 //!
+//! The evidence is an [`Attestation`], derived from the committed blocks
+//! alone (never from mempool state) and folded block by block: the store
+//! keeps one across checkpoints and folds only the blocks appended since
+//! the last, so attesting costs O(Δ) per checkpoint, not O(chain).
+//! Recovery re-derives the same fold from the replayed blocks, so writer
+//! and verifier share one derivation. Encoding writes the borrowed
+//! attestation straight into the envelope.
+//!
 //! Layout: `magic[8] = "DAMSCKP\x01" ‖ body_len u32le ‖ crc32(body) u32le ‖ body`.
 //! A malformed or crc-rejected checkpoint is *never* fatal: recovery falls
 //! back to full replay with full re-verification, counting the reject.
 
-use dams_blockchain::{Chain, RingInput};
+use dams_blockchain::{Block, RingInput};
 use dams_crypto::sha256::sha256_parts;
 
 use crate::crc32::crc32;
@@ -35,7 +43,7 @@ pub struct Checkpoint {
     pub tip: [u8; 32],
     /// Durable WAL length when the checkpoint was written.
     pub wal_len: u64,
-    /// Sorted consumed-key-image set at `height`.
+    /// Sorted key images of every committed ring input up to `height`.
     pub images: Vec<u64>,
     /// Diversity fingerprint of every committed RS, in commit order.
     pub ring_fps: Vec<[u8; 32]>,
@@ -55,58 +63,117 @@ pub fn ring_fingerprint(input: &RingInput) -> [u8; 32] {
     ])
 }
 
-/// All committed-RS fingerprints of `chain`, in commit order.
-pub fn chain_ring_fingerprints(chain: &Chain) -> Vec<[u8; 32]> {
-    chain
-        .blocks()
-        .iter()
-        .flat_map(|b| &b.transactions)
-        .flat_map(|ct| &ct.tx.inputs)
-        .map(ring_fingerprint)
-        .collect()
+/// The commitment evidence of a chain prefix, folded block by block: the
+/// part of a checkpoint that grows with the chain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Attestation {
+    /// Blocks folded, genesis included (0 = nothing folded yet).
+    pub(crate) blocks: usize,
+    /// Hash of the last folded block.
+    pub(crate) tip: [u8; 32],
+    /// Sorted key images of every folded ring input.
+    pub(crate) images: Vec<u64>,
+    /// Fingerprint of every folded committed RS, in commit order.
+    pub(crate) ring_fps: Vec<[u8; 32]>,
+}
+
+impl Attestation {
+    /// The attestation of `blocks`, a chain's blocks from genesis.
+    pub fn of(blocks: &[Block]) -> Self {
+        let mut att = Attestation::default();
+        att.fold(blocks);
+        att
+    }
+
+    /// Bring the attestation up to `blocks`, a chain's blocks from
+    /// genesis. While the last folded block is still at its position in
+    /// `blocks`, only the blocks past it are folded. Anything else — a
+    /// rollback, a reorg, a different chain — refolds from genesis.
+    pub fn fold(&mut self, blocks: &[Block]) {
+        let extends = self.blocks > 0
+            && blocks
+                .get(self.blocks - 1)
+                .is_some_and(|b| b.hash() == self.tip);
+        if !extends {
+            *self = Attestation::default();
+        }
+        let new = &blocks[self.blocks..];
+        let Some(last) = new.last() else { return };
+        for input in new
+            .iter()
+            .flat_map(|b| &b.transactions)
+            .flat_map(|ct| &ct.tx.inputs)
+        {
+            self.images.push(input.key_image().value());
+            self.ring_fps.push(ring_fingerprint(input));
+        }
+        // A sorted prefix plus a short new tail: the stable sort merges
+        // such concatenated runs in near-linear time.
+        self.images.sort();
+        self.tip = last.hash();
+        self.blocks = blocks.len();
+    }
+
+    /// The first attested field `cp` disagrees with, if any — in the
+    /// order tip hash, key-image set, ring fingerprints.
+    pub fn mismatch(&self, cp: &Checkpoint) -> Option<&'static str> {
+        if self.tip != cp.tip {
+            Some("tip hash")
+        } else if self.images != cp.images {
+            Some("key-image set")
+        } else if self.ring_fps != cp.ring_fps {
+            Some("ring fingerprints")
+        } else {
+            None
+        }
+    }
 }
 
 impl Checkpoint {
-    /// Capture `chain` (which must have no un-sealed mempool reservations)
-    /// as written against a WAL currently `wal_len` bytes long.
-    pub fn of_chain(chain: &Chain, group_fp: u64, wal_len: u64) -> Result<Self, crate::StoreError> {
-        let tip = chain.tip().map_err(|e| crate::StoreError::ReplayFailed {
-            offset: 0,
-            height: 0,
-            cause: e,
-        })?;
-        Ok(Checkpoint {
-            group_fp,
-            height: tip.header.height.0,
-            tip: tip.hash(),
-            wal_len,
-            images: chain.consumed_images_sorted(),
-            ring_fps: chain_ring_fingerprints(chain),
-        })
-    }
-
     /// Serialize with the crc envelope.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.group_fp.to_le_bytes());
-        body.extend_from_slice(&self.height.to_le_bytes());
-        body.extend_from_slice(&self.tip);
-        body.extend_from_slice(&self.wal_len.to_le_bytes());
-        body.extend_from_slice(&(self.images.len() as u64).to_le_bytes());
-        for img in &self.images {
-            body.extend_from_slice(&img.to_le_bytes());
-        }
-        body.extend_from_slice(&(self.ring_fps.len() as u64).to_le_bytes());
-        for fp in &self.ring_fps {
-            body.extend_from_slice(fp);
-        }
-        let mut out = Vec::with_capacity(16 + body.len());
-        out.extend_from_slice(&CKP_MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        encode(
+            self.group_fp,
+            self.height,
+            &self.tip,
+            self.wal_len,
+            &self.images,
+            &self.ring_fps,
+        )
     }
+}
+
+/// Serialize a checkpoint with the crc envelope, straight from borrowed
+/// parts: the body is written once, in place, and its crc patched in.
+pub fn encode(
+    group_fp: u64,
+    height: u64,
+    tip: &[u8; 32],
+    wal_len: u64,
+    images: &[u64],
+    ring_fps: &[[u8; 32]],
+) -> Vec<u8> {
+    let body_len = 5 * 8 + 32 + 8 * images.len() + 32 * ring_fps.len();
+    let mut out = Vec::with_capacity(16 + body_len);
+    out.extend_from_slice(&CKP_MAGIC);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&group_fp.to_le_bytes());
+    out.extend_from_slice(&height.to_le_bytes());
+    out.extend_from_slice(tip);
+    out.extend_from_slice(&wal_len.to_le_bytes());
+    out.extend_from_slice(&(images.len() as u64).to_le_bytes());
+    for img in images {
+        out.extend_from_slice(&img.to_le_bytes());
+    }
+    out.extend_from_slice(&(ring_fps.len() as u64).to_le_bytes());
+    for fp in ring_fps {
+        out.extend_from_slice(fp);
+    }
+    debug_assert_eq!(out.len(), 16 + body_len);
+    let crc = crc32(&out[16..]);
+    out[12..16].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Outcome of reading a checkpoint device.

@@ -26,7 +26,7 @@ pub mod store;
 pub mod wal;
 
 pub use backend::{Backend, FileBackend, MemBackend};
-pub use checkpoint::{chain_ring_fingerprints, ring_fingerprint, Checkpoint, CheckpointLoad};
+pub use checkpoint::{ring_fingerprint, Attestation, Checkpoint, CheckpointLoad};
 pub use crc32::crc32;
 pub use error::StoreError;
 pub use faults::StorageFault;

@@ -25,7 +25,7 @@ use dams_crypto::SchnorrGroup;
 use dams_diversity::{DiversityRequirement, HtId, RingSet, TokenUniverse};
 
 use crate::backend::Backend;
-use crate::checkpoint::{self, Checkpoint, CheckpointLoad};
+use crate::checkpoint::{self, Attestation, Checkpoint, CheckpointLoad};
 use crate::error::StoreError;
 use crate::obs::StoreMetrics;
 use crate::wal::{self, TAG_BLOCK, WAL_HEADER_LEN};
@@ -176,6 +176,10 @@ pub struct Store {
     block_offsets: Vec<u64>,
     /// Height the newest durable checkpoint attests (0 = none).
     last_checkpoint_height: u64,
+    /// The checkpoint attestation, folded up to the chain last
+    /// checkpointed (or verified at recovery); each checkpoint folds only
+    /// the blocks since.
+    attestation: Attestation,
     /// Blocks served to peers through catch-up bundles / tail streams.
     blocks_served: u64,
 }
@@ -270,6 +274,7 @@ impl Store {
                     wal_len: WAL_HEADER_LEN,
                     block_offsets: Vec::new(),
                     last_checkpoint_height: 0,
+                    attestation: Attestation::default(),
                     blocks_served: 0,
                 },
                 chain,
@@ -364,12 +369,15 @@ impl Store {
         }
 
         // Cross-check the checkpoint's attestation against what replay
-        // actually rebuilt.
-        if let Some(c) = &loaded_cp {
-            report.checkpoint_loaded = true;
-            report.checkpoint_height = c.height;
-            verify_checkpoint_attestation(&chain, c)?;
-        }
+        // actually rebuilt; the verified fold seeds the next checkpoint.
+        let attestation = match &loaded_cp {
+            Some(c) => {
+                report.checkpoint_loaded = true;
+                report.checkpoint_height = c.height;
+                verify_checkpoint_attestation(&chain, c)?
+            }
+            None => Attestation::default(),
+        };
 
         // Physically drop the bad tail so future appends are well-framed.
         let wal_len = match outcome.tail.truncate_at() {
@@ -397,6 +405,7 @@ impl Store {
                 wal_len,
                 block_offsets,
                 last_checkpoint_height: loaded_cp.map_or(0, |c| c.height),
+                attestation,
                 blocks_served: 0,
             },
             chain,
@@ -437,11 +446,26 @@ impl Store {
         self.write_checkpoint(chain)
     }
 
-    /// Unconditionally checkpoint the current chain state.
+    /// Unconditionally checkpoint the current chain state: its committed
+    /// blocks, folded into the attestation past the last checkpoint
+    /// (mempool reservations are not state and are never attested).
     pub fn write_checkpoint(&mut self, chain: &Chain) -> Result<bool, StoreError> {
-        let cp = Checkpoint::of_chain(chain, self.group_fp, self.wal_len)?;
-        let height = cp.height;
-        let bytes = cp.encode();
+        let height = chain
+            .tip()
+            .map_err(replay_err(0, 0))?
+            .header
+            .height
+            .0;
+        self.attestation.fold(chain.blocks());
+        let att = &self.attestation;
+        let bytes = checkpoint::encode(
+            self.group_fp,
+            height,
+            &att.tip,
+            self.wal_len,
+            &att.images,
+            &att.ring_fps,
+        );
         self.cp.truncate(0)?;
         self.cp.append(&bytes)?;
         self.cp.sync()?;
@@ -602,47 +626,24 @@ fn replay_err(offset: u64, height: u64) -> impl Fn(ChainError) -> StoreError {
 }
 
 /// Check the replayed prefix against a checkpoint's attestation: tip hash
-/// at its height, key-image set, and committed-ring fingerprints.
-fn verify_checkpoint_attestation(chain: &Chain, cp: &Checkpoint) -> Result<(), StoreError> {
-    let attested = chain
+/// at its height, key-image set, and committed-ring fingerprints. Returns
+/// the verified fold.
+fn verify_checkpoint_attestation(chain: &Chain, cp: &Checkpoint) -> Result<Attestation, StoreError> {
+    let prefix = chain
         .blocks()
-        .get(cp.height as usize)
+        .get(..=cp.height as usize)
         .ok_or(StoreError::CheckpointAheadOfWal {
             height: cp.height,
             wal_height: chain.blocks().len().saturating_sub(1) as u64,
         })?;
-    if attested.hash() != cp.tip {
-        return Err(StoreError::CheckpointStateMismatch {
+    let attestation = Attestation::of(prefix);
+    match attestation.mismatch(cp) {
+        Some(field) => Err(StoreError::CheckpointStateMismatch {
             height: cp.height,
-            field: "tip hash",
-        });
+            field,
+        }),
+        None => Ok(attestation),
     }
-    let mut images: Vec<u64> = chain.blocks()[..=cp.height as usize]
-        .iter()
-        .flat_map(|b| &b.transactions)
-        .flat_map(|ct| &ct.tx.inputs)
-        .map(|i| i.key_image().value())
-        .collect();
-    images.sort_unstable();
-    if images != cp.images {
-        return Err(StoreError::CheckpointStateMismatch {
-            height: cp.height,
-            field: "key-image set",
-        });
-    }
-    let fps: Vec<[u8; 32]> = chain.blocks()[..=cp.height as usize]
-        .iter()
-        .flat_map(|b| &b.transactions)
-        .flat_map(|ct| &ct.tx.inputs)
-        .map(checkpoint::ring_fingerprint)
-        .collect();
-    if fps != cp.ring_fps[..] {
-        return Err(StoreError::CheckpointStateMismatch {
-            height: cp.height,
-            field: "ring fingerprints",
-        });
-    }
-    Ok(())
 }
 
 /// Result of re-verifying the immutability evidence of a recovered chain.

@@ -4,9 +4,10 @@
 //! injected corruption — a corrupt record is truncated-and-flagged or a
 //! hard error, never silently applied.
 
-use dams_blockchain::{
-    block_to_bytes, Amount, Chain, NoConfiguration, RingInput, TokenId, TokenOutput, Transaction,
-};
+mod common;
+
+use common::{reference_chain, spend_tx};
+use dams_blockchain::{block_to_bytes, Amount, Chain, NoConfiguration, TokenId, TokenOutput};
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_store::wal::{self, WAL_HEADER_LEN};
 use dams_store::{
@@ -23,93 +24,6 @@ fn mem() -> Box<MemBackend> {
 
 fn mem_from(bytes: &[u8]) -> Box<MemBackend> {
     Box::new(MemBackend::from_durable(bytes.to_vec()))
-}
-
-/// Build a valid ring spend of `keys[spend_idx]` over `ring`, claiming
-/// `(c, l)`-diversity. The chain does not validate the claim — recovery's
-/// immutability recheck does, which is exactly what these tests exercise.
-fn spend_tx(
-    chain: &Chain,
-    keys: &[KeyPair],
-    spend_idx: usize,
-    ring: Vec<TokenId>,
-    c: f64,
-    l: usize,
-    rng: &mut StdRng,
-) -> Transaction {
-    let outputs = vec![TokenOutput {
-        owner: keys[spend_idx].public,
-        amount: Amount(5),
-    }];
-    let shell = Transaction {
-        inputs: vec![],
-        outputs: outputs.clone(),
-        memo: vec![],
-    };
-    let payload = shell.signing_payload();
-    let ring_keys: Vec<_> = ring
-        .iter()
-        .map(|t| chain.token(*t).expect("ring token exists").owner)
-        .collect();
-    let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[spend_idx], rng)
-        .expect("signable ring");
-    Transaction {
-        inputs: vec![RingInput {
-            ring,
-            signature: sig,
-            claimed_c: c,
-            claimed_l: l,
-        }],
-        outputs,
-        memo: vec![],
-    }
-}
-
-/// The reference ledger every sweep recovers against: three coinbase
-/// blocks (three distinct HTs, tokens 0..9), two cross-origin ring spends
-/// with honest claims, one more coinbase block.
-fn reference_chain() -> (SchnorrGroup, Chain, Vec<KeyPair>) {
-    let group = SchnorrGroup::default();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut chain = Chain::new(group);
-    let mut keys = Vec::new();
-    for _ in 0..3 {
-        let block_keys: Vec<KeyPair> =
-            (0..3).map(|_| KeyPair::generate(&group, &mut rng)).collect();
-        chain.submit_coinbase(
-            block_keys
-                .iter()
-                .map(|k| TokenOutput {
-                    owner: k.public,
-                    amount: Amount(5),
-                })
-                .collect(),
-        );
-        chain.seal_block().expect("coinbase seals");
-        keys.extend(block_keys);
-    }
-    // Rings spanning all three origins: q = [1, 1, 1], so the honest
-    // claim (2.0, 1) holds (1 < 2 * 3).
-    for (spender, ring) in [(0usize, [0u64, 3, 6]), (4, [1, 4, 7])] {
-        let tx = spend_tx(
-            &chain,
-            &keys,
-            spender,
-            ring.into_iter().map(TokenId).collect(),
-            2.0,
-            1,
-            &mut rng,
-        );
-        chain.submit(tx, &NoConfiguration).expect("honest spend");
-        chain.seal_block().expect("spend seals");
-    }
-    let kp = KeyPair::generate(&group, &mut rng);
-    chain.submit_coinbase(vec![TokenOutput {
-        owner: kp.public,
-        amount: Amount(1),
-    }]);
-    chain.seal_block().expect("final coinbase");
-    (group, chain, keys)
 }
 
 /// The uninterrupted run's durable WAL image for `chain`.
@@ -433,4 +347,27 @@ fn wal_tail_streams_only_missing_records() {
     assert!(server.wal_tail(server.wal_len()).unwrap().is_empty());
     assert!(server.wal_tail(prefix.len() as u64 + 1).unwrap().is_empty());
     assert_eq!(server.blocks_served(), 3, "no phantom serves");
+}
+
+#[test]
+fn checkpoint_with_unsealed_spend_in_mempool_recovers() {
+    let (group, mut chain, keys) = reference_chain();
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    // Submitted but never sealed: its key image is reserved in the
+    // mempool, yet no block commits it, so no checkpoint may attest it.
+    let tx = spend_tx(
+        &chain,
+        &keys,
+        8,
+        vec![TokenId(2), TokenId(5), TokenId(8)],
+        2.0,
+        1,
+        &mut rng,
+    );
+    chain.submit(tx, &NoConfiguration).expect("pending spend");
+    let (wal_bytes, cp_bytes) = checkpointed_images(group, &chain);
+    let rec = open(&wal_bytes, &cp_bytes, group).expect("checkpoint must verify on recovery");
+    assert!(rec.report.checkpoint_loaded);
+    assert!(rec.report.clean(), "{:?}", rec.report);
+    assert_eq!(rec.report.tip, chain.tip().unwrap().hash());
 }

@@ -1,8 +1,11 @@
-//! Golden vectors pinning the WAL's on-disk format. If any of these
-//! break, old stores stop recovering — bump the magic's version byte and
-//! write a migration instead of editing the expectations.
+//! Golden vectors pinning the WAL's and the checkpoint's on-disk formats.
+//! If any of these break, old stores stop recovering — bump the magic's
+//! version byte and write a migration instead of editing the expectations.
 
-use dams_store::crc32;
+mod common;
+
+use dams_crypto::sha256::sha256;
+use dams_store::{crc32, MemBackend, Store, StoreConfig};
 use dams_store::wal::{
     decode_header, encode_header, frame_record, scan, TailStatus, RECORD_HEADER_LEN,
     WAL_HEADER_LEN,
@@ -55,4 +58,45 @@ fn golden_image_scans_clean() {
     assert_eq!(out.tail, TailStatus::Clean);
     assert_eq!(out.records[0].offset, WAL_HEADER_LEN);
     assert_eq!(out.records[1].offset, WAL_HEADER_LEN + RECORD_HEADER_LEN + 11);
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The durable images of a store that appended the reference ledger (two
+/// committed rings) and checkpointed at its tip: the checkpoint's key-image
+/// set and ring fingerprints, and every WAL record, byte for byte.
+#[test]
+fn checkpoint_golden_bytes() {
+    let (group, chain, _) = common::reference_chain();
+    let mut store = Store::open(
+        Box::new(MemBackend::new()),
+        Box::new(MemBackend::new()),
+        group,
+        StoreConfig::default(),
+    )
+    .expect("fresh store")
+    .store;
+    for block in &chain.blocks()[1..] {
+        store.append_block(block).expect("append");
+    }
+    store.write_checkpoint(&chain).expect("checkpoint");
+    let (mut wal_dev, mut cp_dev) = store.into_backends();
+    let cp = cp_dev.read_all().expect("cp bytes");
+    let wal = wal_dev.read_all().expect("wal bytes");
+    // 16-byte envelope, then group fp, height, tip, WAL length, two key
+    // images and two ring fingerprints, each behind a u64 count.
+    assert_eq!(cp.len(), 168);
+    assert_eq!(&cp[..8], b"DAMSCKP\x01");
+    assert_eq!(&cp[8..12], &152u32.to_le_bytes());
+    assert_eq!(
+        hex(&sha256(&cp)),
+        "31e7a22433960514405844741ba823fbbf9819534e5dc864ca581631e234cb13"
+    );
+    assert_eq!(wal.len(), 1350);
+    assert_eq!(
+        hex(&sha256(&wal)),
+        "b33db5b58210cf514574e5b1623a9c8def304a18dc909e617e71ab1528338484"
+    );
 }

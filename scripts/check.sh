@@ -66,6 +66,11 @@ echo "crashed WAL is a byte-identical prefix of the uninterrupted run"
 cli run --store-dir "$crashdir" --blocks 8 --seed 42 > /dev/null
 cmp "$crashdir/wal.bin" "$refdir/wal.bin"
 echo "resumed run converged on the uninterrupted WAL"
+# The resumed writer's attestation fold starts from what recovery
+# verified, never from the uninterrupted run's memory: its checkpoint
+# must still be byte-identical.
+cmp "$crashdir/checkpoint.bin" "$refdir/checkpoint.bin"
+echo "resumed run converged on the uninterrupted checkpoint"
 flipdir="$tmpdir/store-flip"
 cp -r "$refdir" "$flipdir"
 size="$(stat -c%s "$flipdir/wal.bin")"
