@@ -27,7 +27,7 @@
 //! * `hardness` — count the token–RS combinations (possible worlds) of
 //!   literal rings via the Theorem 3.1 reduction.
 //! * `bench` — run a representative workload across every selection
-//!   algorithm, the degrade ladder, and the faulted node simulation, then
+//!   algorithm, the degrade ladder, and the scripted cluster scenario, then
 //!   write the full metrics snapshot to a JSON baseline file. Also runs
 //!   the selection perf figure (optimized engines vs. seed references)
 //!   and writes its rows to `--selection-out`, including the streaming
@@ -102,11 +102,12 @@
 //!   baseline, offense tallies, bans) to `--out` and the concatenated
 //!   Byzantine reports (each ending in a grep-able `verdict:` line) to
 //!   `--report`; exits non-zero unless every strength is defended.
-//! * `--faults N` — replay the scripted adversarial simulation (drop +
-//!   duplicate + reorder + delay + corrupt + partition/heal +
-//!   crash/restore through each replica's durable store) from seed N and
-//!   print the fault report. The same seed always reproduces the same
-//!   run.
+//! * `--faults N` — replay the scripted five-replica cluster scenario
+//!   from seed N (drop + duplicate + reorder + delay + corrupt, a
+//!   partition healed mid-run, a durable kill/restart, a late joiner
+//!   bootstrapped from a checkpoint bundle) and print its cluster report;
+//!   exits 1 unless the replicas converge. The same seed always
+//!   reproduces the same run.
 //! * `--metrics text|json` — after any command, print the process-wide
 //!   metrics snapshot in deterministic mode (timers show only counts), so
 //!   two runs with the same seed emit byte-identical output.
@@ -144,7 +145,16 @@ fn main() {
         let seed: u64 = get("--faults")
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| die("--faults requires a u64 seed"));
-        let ok = replay_faults(seed);
+        let ok = match dams_node::run_cluster_scenario(seed, 5) {
+            Ok(report) => {
+                print!("{}", report.render());
+                report.ok()
+            }
+            Err(e) => {
+                eprintln!("error: cluster scenario failed: {e}");
+                false
+            }
+        };
         // Metrics print even on a failed run — a diverged replica's
         // counters are exactly what the investigation wants.
         print_metrics(metrics_format);
@@ -644,39 +654,10 @@ fn run_bench_workload(seed: u64) {
         let _ = tm.select_for(&instance, TokenId(0), &mut rng);
     }
 
-    // The adversarial node simulation populates the chain.* and node.*
-    // families (blocks sealed/adopted, verify latency, bus faults).
-    let _ = dams_node::run_faulted_simulation(seed);
-}
-
-/// Replay the scripted adversarial simulation from `seed` and print the
-/// report a failing property test would want reproduced. Returns whether
-/// the replicas converged on one tip and one batch list.
-fn replay_faults(seed: u64) -> bool {
-    let report = dams_node::run_faulted_simulation(seed);
-    println!("faulted simulation, seed {seed}:");
-    println!(
-        "  converged: {} | batch consensus: {} | height: {} | ticks: {}",
-        report.converged,
-        report.batch_consensus,
-        report.height,
-        report
-            .ticks
-            .map_or_else(|| "budget exhausted".into(), |t| t.to_string()),
-    );
-    if let Some(tip) = report.tip {
-        println!("  tip: {}", hex(&tip));
-    }
-    let s = &report.stats;
-    println!(
-        "  wire: {} sent, {} delivered, {} dropped, {} duplicated, {} delayed, {} corrupted",
-        s.sent, s.delivered, s.dropped, s.duplicated, s.delayed, s.corrupted
-    );
-    println!(
-        "  rejected: {} undecodable, {} inbox-full, {} partition-blocked",
-        s.decode_rejected, s.inbox_rejected, s.partition_blocked
-    );
-    report.converged && report.batch_consensus
+    // The scripted five-replica cluster scenario populates the chain.*
+    // and node.* families (blocks sealed/adopted, verify latency, bus
+    // faults, gossip and catch-up counters).
+    let _ = dams_node::run_cluster_scenario(seed, 5);
 }
 
 /// Run the replication scenario and the sharded load harness at each
@@ -1012,7 +993,7 @@ fn usage() -> ! {
          \x20      dams-cli cluster-sim [--seed N] [--node-counts \"1,3,5\"] [--out FILE] [--report FILE]\n\
          \x20      dams-cli cluster-sim --byzantine [--seed N] [--honest N] [--max-f N] [--out FILE] [--report FILE]\n\
          \x20      dams-cli bench --anonymity [--seed N] [--out FILE] [--report FILE]\n\
-         \x20      dams-cli --faults <seed>   replay a faulted node simulation"
+         \x20      dams-cli --faults <seed>   replay the scripted five-replica cluster scenario"
     );
     std::process::exit(2);
 }

@@ -29,6 +29,9 @@
 //! * **Refusal** — `kind ‖ sha256 ‖ (server ‖ requested ‖ cap)`, the
 //!   typed answer to an oversized range request.
 //!
+//! The checkpoint catch-up bundle of [`crate::sync`] is a sixth kind,
+//! [`KIND_BUNDLE`], over the same `kind ‖ sha256 ‖ payload` codec.
+//!
 //! Every live replica runs a [`PeerDefense`] in front of its inbox:
 //! token-bucket rate limits per frame kind, severity-weighted misbehavior
 //! scores with quarantine → ban escalation, a staging window that holds
@@ -68,13 +71,17 @@ pub const KIND_TIP: u8 = 2;
 pub const KIND_RANGE: u8 = 3;
 pub const KIND_EVIDENCE: u8 = 4;
 pub const KIND_REFUSAL: u8 = 5;
+/// A checkpoint catch-up bundle ([`crate::sync::serve_bundle`]). Served
+/// peer-to-peer outside the gossip stream, so [`decode_frame`] refuses it.
+pub const KIND_BUNDLE: u8 = 6;
 
 /// Checked little-endian u64 read (the wire is hostile; never index).
 fn u64le(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?))
 }
 
-fn frame_typed(kind: u8, payload: &[u8]) -> Vec<u8> {
+/// The node layer's one frame codec: `kind ‖ sha256(payload) ‖ payload`.
+pub(crate) fn frame_typed(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(33 + payload.len());
     out.push(kind);
     out.extend_from_slice(&sha256(payload));
@@ -84,7 +91,7 @@ fn frame_typed(kind: u8, payload: &[u8]) -> Vec<u8> {
 
 /// Strip and check the digest of a typed frame body; `None` on any
 /// length or digest mismatch.
-fn authenticate(rest: &[u8]) -> Option<&[u8]> {
+pub(crate) fn authenticate(rest: &[u8]) -> Option<&[u8]> {
     if rest.len() < 32 {
         return None;
     }
@@ -604,7 +611,7 @@ impl Cluster {
         self.run_actors();
         let group = self.group;
         let metrics = NodeMetrics::global();
-        let frames = self.channel.advance_attributed();
+        let frames = self.channel.advance();
         let now = self.channel.tick();
         // Responses generated while dispatching (range requests, served
         // ranges, refusals, evidence) are collected and sent after the
@@ -709,15 +716,6 @@ impl Cluster {
                             } else {
                                 defense.note_block_from(src);
                                 defense.stage(src, block);
-                                chan_stats.delivered += 1;
-                                metrics.bus_delivered.inc();
-                                dams_obs::global()
-                                    .counter_labeled(
-                                        "node.gossip.delivered_total",
-                                        "node",
-                                        &dest.to_string(),
-                                    )
-                                    .inc();
                             }
                         }
                     }
@@ -816,7 +814,14 @@ impl Cluster {
                         metrics.peers_diversity_rejects.inc();
                         continue;
                     }
-                    if node.deliver(BlockAnnouncement { block }).is_err() {
+                    // Each released copy lands in exactly one bucket.
+                    if node.deliver(BlockAnnouncement { block }).is_ok() {
+                        chan_stats.delivered += 1;
+                        metrics.bus_delivered.inc();
+                        dams_obs::global()
+                            .counter_labeled("node.gossip.delivered_total", "node", &i.to_string())
+                            .inc();
+                    } else {
                         chan_stats.inbox_rejected += 1;
                     }
                 }
@@ -1380,6 +1385,33 @@ mod tests {
             "corruption must not be attributed: {:?}",
             cluster.defense(1).unwrap().records()
         );
+    }
+
+    #[test]
+    fn each_released_block_copy_lands_in_exactly_one_bucket() {
+        let group = SchnorrGroup::default();
+        let limits = NodeLimits {
+            inbox_capacity: 1,
+            ..NodeLimits::default()
+        };
+        let mut cluster =
+            Cluster::with_limits(3, group, 17, FaultConfig::lossless(), limits).unwrap();
+        // Two blocks announced in one tick stage together on each of the
+        // two receivers, then release together into a 1-slot inbox.
+        cluster.mine_on(0, 1).unwrap();
+        cluster.mine_on(0, 1).unwrap();
+        for _ in 0..=cluster.config().stage_ticks + 1 {
+            cluster.step();
+        }
+        assert!(cluster.staging_empty());
+        let f = cluster.fault_stats();
+        assert_eq!(f.delivered + f.inbox_rejected, 4, "released copies: {f:?}");
+        assert_eq!((f.delivered, f.inbox_rejected), (2, 2), "{f:?}");
+        let refused: u64 = [1, 2]
+            .iter()
+            .map(|&i| cluster.node(i).unwrap().stats().inbox_rejected)
+            .sum();
+        assert_eq!(refused, f.inbox_rejected);
     }
 
     #[test]

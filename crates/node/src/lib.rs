@@ -9,7 +9,14 @@
 //! * [`views`] — full-node / light-node batch views with the §4 consensus
 //!   property;
 //! * [`validate`] — the polynomial Definition-5 validator wallets run
-//!   before broadcasting and auditors run over blocks.
+//!   before broadcasting and auditors run over blocks;
+//! * [`network`] — one replica ([`SimNode`]): bounded inbox, orphan pool,
+//!   parent requests, durable adoption;
+//! * [`gossip`] — the one multi-node simulator ([`Cluster`]): replicas
+//!   exchanging attested frames over the seeded [`faults::FaultChannel`],
+//!   with partition/heal, durable kill/restart, late joiners and
+//!   Byzantine defense;
+//! * [`sync`] — checkpoint-bundle bootstrap and WAL-tail catch-up.
 
 pub mod adversary;
 pub mod auditor;
@@ -29,9 +36,7 @@ pub mod views;
 
 pub use auditor::{audit, chain_view, AuditReport, ChainView};
 pub use error::NodeError;
-pub use faults::{
-    run_faulted_simulation, FaultChannel, FaultConfig, FaultReport, FaultStats, FaultyBus,
-};
+pub use faults::{FaultChannel, FaultConfig, FaultStats};
 pub use adversary::{
     run_byzantine_scenario, selection_snapshot, ActorKind, ByzantineReport, SCENARIO_HEIGHT,
     SCENARIO_HORIZON,
@@ -45,7 +50,7 @@ pub use peers::{
     Standing,
 };
 pub use indexing::{block_delta, index_of_chain};
-pub use network::{BlockAnnouncement, Bus, NodeLimits, NodeStats, SimNode};
+pub use network::{BlockAnnouncement, NodeLimits, NodeStats, SimNode};
 pub use sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
 pub use obs::NodeMetrics;
 pub use report::render_report;

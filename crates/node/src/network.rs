@@ -1,18 +1,20 @@
-//! An in-process network simulation: nodes exchange blocks through a lossy
-//! message bus, replay them locally, and converge on identical chain state
-//! and TokenMagic batch lists — §4's consensus argument ("users have a
-//! consensus about the block list ... users can have a consensus about
-//! the batch list too") as an executable property.
+//! One simulated replica: [`SimNode`] receives block announcements,
+//! replays them locally, and converges on the same chain state and
+//! TokenMagic batch lists as its peers — §4's consensus argument ("users
+//! have a consensus about the block list ... users can have a consensus
+//! about the batch list too") as an executable property.
 //!
 //! The node layer is panic-free and resource-bounded: the inbox and the
 //! orphan pool have hard capacities with TTL eviction, missing parents are
 //! re-requested under exponential backoff, and every failure surfaces as a
-//! typed [`NodeError`] instead of crashing the replica. The deterministic
-//! adversary exercising all of this lives in [`crate::faults`].
+//! typed [`NodeError`] instead of crashing the replica. Replicas talk to
+//! each other only through [`crate::gossip::Cluster`], which runs them
+//! over the seeded [`crate::faults::FaultChannel`]; a crashed replica
+//! recovers from its durable store ([`SimNode::restore_from_store`]).
 
 use std::collections::VecDeque;
 
-use dams_blockchain::{block_to_bytes, decode_block, BatchList, Block, Chain, NoConfiguration};
+use dams_blockchain::{Block, Chain, NoConfiguration};
 use dams_core::DiversityIndex;
 use dams_crypto::sha256::Digest;
 use dams_crypto::SchnorrGroup;
@@ -584,214 +586,90 @@ impl SimNode {
     pub fn inbox_len(&self) -> usize {
         self.inbox.len()
     }
-
-    /// Snapshot the node's chain as encoded blocks — the durable state a
-    /// crash survives. Inbox and orphans are volatile and intentionally
-    /// not captured.
-    pub fn snapshot(&self) -> Vec<Vec<u8>> {
-        self.chain.blocks().iter().map(block_to_bytes).collect()
-    }
-
-    /// Rebuild a replica from a snapshot by *verified replay*: the first
-    /// block must be the canonical genesis, and every subsequent block is
-    /// re-validated (structure, signatures, key images) before adoption.
-    /// A corrupted snapshot yields a typed error, never a partial node.
-    pub fn restore(
-        id: usize,
-        group: SchnorrGroup,
-        limits: NodeLimits,
-        snapshot: &[Vec<u8>],
-    ) -> Result<Self, NodeError> {
-        let mut node = SimNode::with_limits(id, group, limits);
-        let mut blocks = snapshot.iter().enumerate();
-        match blocks.next() {
-            Some((_, bytes)) => {
-                let genesis = decode_block(&group, bytes)?;
-                if genesis.hash() != node.tip_hash()? {
-                    return Err(NodeError::SnapshotGenesisMismatch);
-                }
-            }
-            None => return Err(NodeError::SnapshotGenesisMismatch),
-        }
-        for (index, bytes) in blocks {
-            let block = decode_block(&group, bytes)?;
-            node.chain
-                .verify_block(&block, &NoConfiguration)
-                .and_then(|()| node.chain.adopt_block(block))
-                .map_err(|cause| NodeError::SnapshotBlockInvalid { index, cause })?;
-        }
-        Ok(node)
-    }
-}
-
-/// A lossless, reordering message bus between nodes — the reference
-/// fault-free network ([`crate::faults::FaultyBus`] is the adversarial
-/// one).
-pub struct Bus {
-    pub nodes: Vec<SimNode>,
-}
-
-impl Bus {
-    pub fn new(count: usize, group: SchnorrGroup) -> Self {
-        Bus {
-            nodes: (0..count).map(|i| SimNode::new(i, group)).collect(),
-        }
-    }
-
-    /// Gossip a block from `origin` to every other node, optionally
-    /// shuffling delivery order via the given permutation of node ids.
-    /// Full inboxes count as drops (the node's own back-pressure).
-    pub fn gossip(&mut self, origin: usize, block: Block, order: &[usize]) {
-        for &i in order {
-            if i != origin && i < self.nodes.len() {
-                let _ = self.nodes[i].deliver(BlockAnnouncement {
-                    block: block.clone(),
-                });
-            }
-        }
-    }
-
-    /// Run inbox processing on every node until quiescent, serving parent
-    /// requests between rounds so stragglers can backfill.
-    pub fn settle(&mut self) {
-        loop {
-            let mut progressed = false;
-            for n in &mut self.nodes {
-                progressed |= n.process_inbox() > 0;
-            }
-            progressed |= self.serve_parent_requests() > 0;
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    /// Answer every pending parent request from whichever node has the
-    /// block. Returns how many responses were delivered.
-    fn serve_parent_requests(&mut self) -> usize {
-        let mut served = 0;
-        for i in 0..self.nodes.len() {
-            let requests = self.nodes[i].parent_requests();
-            for hash in requests {
-                let block = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.id != i)
-                    .find_map(|n| n.serve_block(hash));
-                if let Some(block) = block {
-                    if self.nodes[i].deliver(BlockAnnouncement { block }).is_ok() {
-                        served += 1;
-                    }
-                }
-            }
-        }
-        served
-    }
-
-    /// Whether all nodes share the same tip (consensus).
-    pub fn converged(&self) -> bool {
-        let tips: Vec<Option<Digest>> =
-            self.nodes.iter().map(|n| n.tip_hash().ok()).collect();
-        tips.iter().all(Option::is_some) && tips.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Whether all nodes derive identical batch lists at λ.
-    pub fn batch_consensus(&self, lambda: usize) -> bool {
-        let lists: Vec<BatchList> = self
-            .nodes
-            .iter()
-            .map(|n| BatchList::build(n.chain(), lambda))
-            .collect();
-        lists
-            .windows(2)
-            .all(|w| w[0].batches() == w[1].batches())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dams_blockchain::{Amount, TokenOutput};
+    use dams_blockchain::{Amount, BatchList, TokenOutput};
     use dams_crypto::KeyPair;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    /// Mine `blocks` coinbase blocks on node 0 and gossip them.
-    fn mine_and_gossip(bus: &mut Bus, blocks: usize, per_block: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..blocks {
-            let group = *bus.nodes[0].chain().group();
-            let outs: Vec<TokenOutput> = (0..per_block)
-                .map(|_| TokenOutput {
-                    owner: KeyPair::generate(&group, &mut rng).public,
-                    amount: Amount(1),
-                })
-                .collect();
-            let chain = bus.nodes[0].chain_mut();
-            chain.submit_coinbase(outs);
-            chain.seal_block().unwrap();
-            let block = chain.blocks().last().expect("just sealed").clone();
-            let mut order: Vec<usize> = (0..bus.nodes.len()).collect();
-            order.shuffle(&mut rng);
-            bus.gossip(0, block, &order);
-        }
+    /// Mine one coinbase block of `outputs` fresh tokens on `miner`.
+    fn mine_one(miner: &mut SimNode, outputs: usize, rng: &mut StdRng) -> Block {
+        let group = *miner.chain().group();
+        let outs = (0..outputs)
+            .map(|_| TokenOutput {
+                owner: KeyPair::generate(&group, rng).public,
+                amount: Amount(1),
+            })
+            .collect();
+        miner.chain_mut().submit_coinbase(outs);
+        miner.seal_block().unwrap()
     }
 
-    fn mine_one(bus: &mut Bus, rng: &mut StdRng) -> Block {
-        let g = *bus.nodes[0].chain().group();
-        let outs = vec![TokenOutput {
-            owner: KeyPair::generate(&g, rng).public,
-            amount: Amount(1),
-        }];
-        let chain = bus.nodes[0].chain_mut();
-        chain.submit_coinbase(outs);
-        chain.seal_block().unwrap();
-        chain.blocks().last().expect("just sealed").clone()
+    /// A miner holding `blocks` single-output blocks, and those blocks.
+    fn mined(blocks: usize, seed: u64) -> (SimNode, Vec<Block>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut miner = SimNode::new(0, SchnorrGroup::default());
+        let out = (0..blocks).map(|_| mine_one(&mut miner, 1, &mut rng)).collect();
+        (miner, out)
+    }
+
+    /// Hand every block to `node` in order, then process its inbox once.
+    fn deliver_all(node: &mut SimNode, blocks: &[Block]) -> usize {
+        for block in blocks {
+            node.deliver(BlockAnnouncement { block: block.clone() }).unwrap();
+        }
+        node.process_inbox()
     }
 
     #[test]
     fn nodes_converge_on_chain_and_batches() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(4, group);
-        mine_and_gossip(&mut bus, 6, 3, 1);
-        bus.settle();
-        assert!(bus.converged(), "tips diverged");
-        assert!(bus.batch_consensus(7), "batch lists diverged");
-        for n in &bus.nodes {
-            assert!(n.chain().audit());
-            assert_eq!(n.chain().token_count(), 18);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut miner = SimNode::new(0, group);
+        let blocks: Vec<Block> = (0..6).map(|_| mine_one(&mut miner, 3, &mut rng)).collect();
+        let batches = BatchList::build(miner.chain(), 7);
+        for id in 1..4 {
+            let mut order = blocks.clone();
+            order.shuffle(&mut rng);
+            let mut node = SimNode::new(id, group);
+            deliver_all(&mut node, &order);
+            assert_eq!(node.tip_hash(), miner.tip_hash(), "tips diverged");
+            assert_eq!(
+                BatchList::build(node.chain(), 7).batches(),
+                batches.batches(),
+                "batch lists diverged"
+            );
+            assert!(node.chain().audit());
+            assert_eq!(node.chain().token_count(), 18);
         }
     }
 
     #[test]
     fn out_of_order_delivery_heals() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        // Mine 3 blocks but deliver to node 1 in reverse order: the orphan
-        // pool must reassemble them.
-        let mut rng = StdRng::seed_from_u64(2);
-        let blocks: Vec<Block> = (0..3).map(|_| mine_one(&mut bus, &mut rng)).collect();
-        for b in blocks.into_iter().rev() {
-            bus.nodes[1].deliver(BlockAnnouncement { block: b }).unwrap();
-        }
-        bus.settle();
-        assert!(bus.converged());
+        // Deliver 3 blocks in reverse order: the orphan pool must
+        // reassemble them.
+        let (miner, mut blocks) = mined(3, 2);
+        blocks.reverse();
+        let mut node = SimNode::new(1, SchnorrGroup::default());
+        assert_eq!(deliver_all(&mut node, &blocks), 3);
+        assert_eq!(node.tip_hash(), miner.tip_hash());
     }
 
     #[test]
     fn tampered_block_discarded() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut block = mine_one(&mut bus, &mut rng);
+        let (_, mut blocks) = mined(1, 3);
         // Tamper with the content after sealing.
-        block.transactions.clear();
-        bus.nodes[1].deliver(BlockAnnouncement { block }).unwrap();
-        bus.settle();
-        // Node 1 keeps only genesis; no convergence with poisoned data.
-        assert_eq!(bus.nodes[1].chain().height(), 1);
-        assert_eq!(bus.nodes[1].stats().blocks_discarded, 1);
+        blocks[0].transactions.clear();
+        let mut node = SimNode::new(1, SchnorrGroup::default());
+        deliver_all(&mut node, &blocks);
+        // The node keeps only genesis; no convergence with poisoned data.
+        assert_eq!(node.chain().height(), 1);
+        assert_eq!(node.stats().blocks_discarded, 1);
     }
 
     #[test]
@@ -802,9 +680,8 @@ mod tests {
             ..NodeLimits::default()
         };
         let mut node = SimNode::with_limits(0, group, limits);
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(4);
-        let block = mine_one(&mut bus, &mut rng);
+        let (_, blocks) = mined(1, 4);
+        let block = blocks[0].clone();
         assert!(node.deliver(BlockAnnouncement { block: block.clone() }).is_ok());
         assert!(node.deliver(BlockAnnouncement { block: block.clone() }).is_ok());
         let err = node.deliver(BlockAnnouncement { block }).unwrap_err();
@@ -820,16 +697,11 @@ mod tests {
             orphan_ttl: 2,
             ..NodeLimits::default()
         };
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(5);
         // Mine 5 distinct blocks; withhold their common ancestry from the
         // victim so every one is an orphan there.
-        let blocks: Vec<Block> = (0..5).map(|_| mine_one(&mut bus, &mut rng)).collect();
+        let (_, blocks) = mined(5, 5);
         let mut node = SimNode::with_limits(9, group, limits);
-        for b in blocks.into_iter().skip(1) {
-            node.deliver(BlockAnnouncement { block: b }).unwrap();
-        }
-        node.process_inbox();
+        deliver_all(&mut node, &blocks[1..]);
         assert!(node.orphan_count() <= 3, "pool exceeded capacity");
         assert!(node.stats().orphans_evicted >= 1, "overflow must evict");
         // Nothing ever parents these orphans: TTL clears the pool. The
@@ -849,11 +721,8 @@ mod tests {
             orphan_ttl: 3,
             ..NodeLimits::default()
         };
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(11);
-        let b1 = mine_one(&mut bus, &mut rng);
-        let b2 = mine_one(&mut bus, &mut rng);
-        let b3 = mine_one(&mut bus, &mut rng);
+        let (_, blocks) = mined(3, 11);
+        let [b1, b2, b3] = [blocks[0].clone(), blocks[1].clone(), blocks[2].clone()];
         let mut node = SimNode::with_limits(9, group, limits);
         // b3 parks at tick 1; with ttl=3 it survives through tick 4 and
         // expires on tick 5.
@@ -877,13 +746,7 @@ mod tests {
 
     #[test]
     fn serve_range_clips_to_tip_and_cap() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(12);
-        for _ in 0..5 {
-            mine_one(&mut bus, &mut rng);
-        }
-        let node = &bus.nodes[0]; // height 6 (genesis + 5)
+        let (node, _) = mined(5, 12); // height 6 (genesis + 5)
         let all = node.serve_range(1, 6, 100);
         assert_eq!(all.len(), 5);
         assert_eq!(all[0].header.height.0, 1);
@@ -898,10 +761,8 @@ mod tests {
     #[test]
     fn duplicate_announcements_are_dropped_not_pooled() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(6);
-        let b1 = mine_one(&mut bus, &mut rng);
-        let b2 = mine_one(&mut bus, &mut rng);
+        let (_, blocks) = mined(2, 6);
+        let (b1, b2) = (blocks[0].clone(), blocks[1].clone());
         let mut node = SimNode::new(9, group);
         for _ in 0..3 {
             node.deliver(BlockAnnouncement { block: b2.clone() }).unwrap();
@@ -917,16 +778,19 @@ mod tests {
 
     #[test]
     fn parent_requests_backfill_a_gap() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        let mut rng = StdRng::seed_from_u64(7);
-        // Node 0 mines 4 blocks; node 1 only hears about the last one.
-        let blocks: Vec<Block> = (0..4).map(|_| mine_one(&mut bus, &mut rng)).collect();
-        let last = blocks.last().unwrap().clone();
-        bus.nodes[1].deliver(BlockAnnouncement { block: last }).unwrap();
-        bus.settle();
-        assert!(bus.converged(), "parent requests should walk the gap");
-        assert!(bus.nodes[1].stats().parent_requests >= 3);
+        // The miner mines 4 blocks; the node only hears about the last.
+        let (miner, blocks) = mined(4, 7);
+        let mut node = SimNode::new(1, SchnorrGroup::default());
+        node.deliver(BlockAnnouncement { block: blocks[3].clone() }).unwrap();
+        for _ in 0..16 {
+            node.process_inbox();
+            for hash in node.parent_requests() {
+                let block = miner.serve_block(hash).expect("the miner has every block");
+                node.deliver(BlockAnnouncement { block }).unwrap();
+            }
+        }
+        assert_eq!(node.tip_hash(), miner.tip_hash(), "parent requests should walk the gap");
+        assert!(node.stats().parent_requests >= 3);
     }
 
     #[test]
@@ -937,12 +801,9 @@ mod tests {
             orphan_ttl: 10_000,
             ..NodeLimits::default()
         };
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(8);
-        let _b1 = mine_one(&mut bus, &mut rng);
-        let b2 = mine_one(&mut bus, &mut rng);
+        let (_, blocks) = mined(2, 8);
         let mut node = SimNode::with_limits(9, group, limits);
-        node.deliver(BlockAnnouncement { block: b2 }).unwrap();
+        node.deliver(BlockAnnouncement { block: blocks[1].clone() }).unwrap();
         let mut total = 0;
         for _ in 0..200 {
             node.process_inbox();
@@ -962,12 +823,13 @@ mod tests {
     #[test]
     fn index_tracks_gossip_adoption_in_lock_step() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        bus.nodes[1].enable_index(5).unwrap();
-        mine_and_gossip(&mut bus, 6, 3, 21);
-        bus.settle();
-        assert!(bus.converged());
-        let node = &bus.nodes[1];
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut miner = SimNode::new(0, group);
+        let blocks: Vec<Block> = (0..6).map(|_| mine_one(&mut miner, 3, &mut rng)).collect();
+        let mut node = SimNode::new(1, group);
+        node.enable_index(5).unwrap();
+        deliver_all(&mut node, &blocks);
+        assert_eq!(node.tip_hash(), miner.tip_hash());
         let index = node.index().expect("index enabled");
         assert_eq!(index.token_count(), node.chain().token_count() as u64);
         assert_eq!(
@@ -1102,48 +964,5 @@ mod tests {
         assert_eq!(errors.get() - before, 3);
         assert_eq!(node.store().unwrap().checkpoint_height(), 0);
         assert_eq!(node.chain().height(), 7);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrips_and_verifies() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..4 {
-            mine_one(&mut bus, &mut rng);
-        }
-        let snapshot = bus.nodes[0].snapshot();
-        let revived =
-            SimNode::restore(7, group, NodeLimits::default(), &snapshot).unwrap();
-        assert_eq!(revived.tip_hash().unwrap(), bus.nodes[0].tip_hash().unwrap());
-        assert_eq!(revived.chain().token_count(), bus.nodes[0].chain().token_count());
-        assert!(revived.chain().audit());
-    }
-
-    #[test]
-    fn corrupted_snapshot_is_rejected() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(10);
-        for _ in 0..3 {
-            mine_one(&mut bus, &mut rng);
-        }
-        let mut snapshot = bus.nodes[0].snapshot();
-        // Flip a byte inside the second block's body.
-        let len = snapshot[2].len();
-        snapshot[2][len / 2] ^= 0xFF;
-        let err = SimNode::restore(7, group, NodeLimits::default(), &snapshot).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                NodeError::Codec(_) | NodeError::SnapshotBlockInvalid { .. }
-            ),
-            "{err:?}"
-        );
-        // Empty snapshots are equally typed, not panics.
-        assert_eq!(
-            SimNode::restore(7, group, NodeLimits::default(), &[]).unwrap_err(),
-            NodeError::SnapshotGenesisMismatch
-        );
     }
 }

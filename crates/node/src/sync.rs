@@ -25,16 +25,17 @@
 //! paper's (c, ℓ)-diversity evidence is re-verified across the hand-off,
 //! so a peer cannot launder a violated claim through a checkpoint.
 //!
-//! Frames are authenticated the same way gossip frames are: a sha256 of
-//! the payload travels with it, and any mismatch is a typed
-//! [`NodeError::SyncRejected`], never a partially-applied sync.
+//! A bundle travels in the gossip frame codec under its own kind,
+//! [`KIND_BUNDLE`]: `kind ‖ sha256(payload) ‖ payload`. A digest mismatch
+//! or a frame of any other kind is a typed [`NodeError::SyncRejected`],
+//! never a partially-applied sync.
 
 use dams_blockchain::decode_block;
-use dams_crypto::sha256::sha256;
 use dams_store::wal::{self, TailStatus, TAG_BLOCK};
 use dams_store::{group_fingerprint, CatchUpBundle, MemBackend, StoreConfig};
 
 use crate::error::NodeError;
+use crate::gossip::{authenticate, frame_typed, KIND_BUNDLE};
 use crate::network::{BlockAnnouncement, NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 
@@ -57,18 +58,15 @@ pub struct SyncReport {
     pub clean: bool,
 }
 
-/// Wire layout: `sha256(payload) ‖ payload` with
-/// `payload = cp_len u64le ‖ checkpoint ‖ wal`.
+/// Wire layout: a [`KIND_BUNDLE`] frame whose payload is
+/// `cp_len u64le ‖ checkpoint ‖ wal`.
 fn encode_bundle(bundle: &CatchUpBundle) -> Vec<u8> {
     let mut payload =
         Vec::with_capacity(8 + bundle.checkpoint.len() + bundle.wal.len());
     payload.extend_from_slice(&(bundle.checkpoint.len() as u64).to_le_bytes());
     payload.extend_from_slice(&bundle.checkpoint);
     payload.extend_from_slice(&bundle.wal);
-    let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(&sha256(&payload));
-    out.extend_from_slice(&payload);
-    out
+    frame_typed(KIND_BUNDLE, &payload)
 }
 
 /// Authenticate and split a bundle frame into `(checkpoint, wal)` images.
@@ -77,13 +75,15 @@ fn decode_bundle(frame: &[u8]) -> Result<(Vec<u8>, Vec<u8>), NodeError> {
         NodeMetrics::global().sync_rejected.inc();
         Err(NodeError::SyncRejected { reason })
     };
-    if frame.len() < 40 {
-        return reject("bundle frame shorter than digest + length prefix");
+    let Some((&kind, rest)) = frame.split_first() else {
+        return reject("empty bundle frame");
+    };
+    if kind != KIND_BUNDLE {
+        return reject("frame is not a catch-up bundle");
     }
-    let (digest, payload) = frame.split_at(32);
-    if sha256(payload).as_slice() != digest {
+    let Some(payload) = authenticate(rest) else {
         return reject("bundle digest mismatch");
-    }
+    };
     let Some(len_bytes) = payload.get(..8).and_then(|b| <[u8; 8]>::try_from(b).ok()) else {
         return reject("bundle length prefix truncated");
     };
@@ -209,33 +209,56 @@ pub fn recheck_node(node: &SimNode) -> dams_store::ImmutabilityCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultConfig, FaultyBus};
-    use dams_crypto::SchnorrGroup;
+    use dams_blockchain::{Amount, TokenOutput};
+    use dams_crypto::{KeyPair, SchnorrGroup};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    /// A durable 2-node bus with `blocks` mined on node 0 and settled.
-    fn mined_bus(blocks: usize, seed: u64) -> FaultyBus {
+    /// A replica with a fresh in-memory durable store.
+    fn durable(id: usize) -> SimNode {
         let group = SchnorrGroup::default();
-        let mut bus = FaultyBus::new(2, group, seed, FaultConfig::lossless());
-        bus.make_durable().unwrap();
+        let mut node = SimNode::new(id, group);
+        let backend = || Box::new(MemBackend::new());
+        let store = dams_store::Store::open(backend(), backend(), group, StoreConfig::default());
+        node.attach_store(store.unwrap()).unwrap();
+        node
+    }
+
+    /// Mine `blocks` coinbase blocks on `miner`, handing each to
+    /// `follower` when there is one.
+    fn mine(
+        miner: &mut SimNode,
+        mut follower: Option<&mut SimNode>,
+        blocks: usize,
+        rng: &mut StdRng,
+    ) {
         for _ in 0..blocks {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            let owner = KeyPair::generate(miner.chain().group(), rng).public;
+            let out = TokenOutput { owner, amount: Amount(1) };
+            miner.chain_mut().submit_coinbase(vec![out]);
+            let block = miner.seal_block().unwrap();
+            if let Some(node) = follower.as_deref_mut() {
+                node.deliver(BlockAnnouncement { block }).unwrap();
+                node.process_inbox();
+            }
         }
-        bus.run_until_quiet(100).unwrap();
-        bus
+    }
+
+    /// Two durable replicas that both hold `blocks` blocks mined on the
+    /// first, plus the rng to mine more.
+    fn synced_pair(blocks: usize, seed: u64) -> (SimNode, SimNode, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut serving, mut lagging) = (durable(0), durable(1));
+        mine(&mut serving, Some(&mut lagging), blocks, &mut rng);
+        (serving, lagging, rng)
     }
 
     #[test]
     fn bundle_bootstrap_splits_prefix_and_tail() {
-        let mut bus = mined_bus(6, 3);
-        let frame = serve_bundle(&mut bus.nodes[0]).unwrap();
-        let (joiner, report) = bootstrap_from_bundle(
-            9,
-            *bus.nodes[0].chain().group(),
-            *bus.nodes[0].limits(),
-            &frame,
-        )
-        .unwrap();
+        let (mut peer, _, _) = synced_pair(6, 3);
+        let frame = serve_bundle(&mut peer).unwrap();
+        let (joiner, report) =
+            bootstrap_from_bundle(9, *peer.chain().group(), *peer.limits(), &frame).unwrap();
         assert!(report.clean, "{report:?}");
         assert_eq!(report.height, 6);
         assert_eq!(
@@ -250,19 +273,16 @@ mod tests {
             "tail not O(interval): {report:?}"
         );
         assert!(report.prefix_adopted >= 4, "checkpoint unused: {report:?}");
-        assert_eq!(
-            joiner.tip_hash().unwrap(),
-            bus.nodes[0].tip_hash().unwrap()
-        );
+        assert_eq!(joiner.tip_hash().unwrap(), peer.tip_hash().unwrap());
         assert!(joiner.has_store(), "joiner must come up durable");
     }
 
     #[test]
     fn tampered_bundle_is_rejected_whole() {
-        let mut bus = mined_bus(3, 4);
-        let group = *bus.nodes[0].chain().group();
-        let limits = *bus.nodes[0].limits();
-        let mut frame = serve_bundle(&mut bus.nodes[0]).unwrap();
+        let (mut peer, _, _) = synced_pair(3, 4);
+        let group = *peer.chain().group();
+        let limits = *peer.limits();
+        let mut frame = serve_bundle(&mut peer).unwrap();
         let mid = frame.len() / 2;
         frame[mid] ^= 0x40;
         let err = bootstrap_from_bundle(9, group, limits, &frame)
@@ -281,18 +301,9 @@ mod tests {
 
     #[test]
     fn tail_stream_catches_a_lagging_replica_up() {
-        let mut bus = mined_bus(3, 5);
-        // Node 1 stops hearing gossip; node 0 mines on.
-        bus.partition(&[1]).unwrap();
-        for _ in 0..3 {
-            bus.mine_and_gossip(0, 1).unwrap();
-            bus.step();
-        }
-        let (mut lagging, mut serving) = {
-            let mut it = bus.nodes.drain(..);
-            let serving = it.next().unwrap();
-            (it.next().unwrap(), serving)
-        };
+        let (mut serving, mut lagging, mut rng) = synced_pair(3, 5);
+        // The lagging replica stops hearing gossip; the miner mines on.
+        mine(&mut serving, None, 3, &mut rng);
         assert_eq!(lagging.chain().height(), 4);
         let applied = catch_up_tail(&mut lagging, &mut serving).unwrap();
         assert_eq!(applied, 3, "exactly the missing blocks stream");
@@ -309,15 +320,8 @@ mod tests {
 
     #[test]
     fn corrupted_tail_stream_is_rejected_whole() {
-        let mut bus = mined_bus(2, 6);
-        bus.partition(&[1]).unwrap();
-        bus.mine_and_gossip(0, 1).unwrap();
-        bus.step();
-        let (lagging, mut serving) = {
-            let mut it = bus.nodes.drain(..);
-            let serving = it.next().unwrap();
-            (it.next().unwrap(), serving)
-        };
+        let (mut serving, lagging, mut rng) = synced_pair(2, 6);
+        mine(&mut serving, None, 1, &mut rng);
         let before = lagging.chain().height();
         // Corrupt the stream by lying about the resume point: an offset
         // off a record boundary yields an empty stream (no torn frames),

@@ -1,17 +1,30 @@
 //! Seed-sweep properties for the fault-injection harness: the §4
 //! consensus argument must hold under drops, duplicates, reordering,
 //! delays, partitions, and crash/restart — for *every* seed, not a lucky
-//! one. Each property sweeps 64 PRNG seeds; a failure message names the
-//! seed so the run replays exactly (`dams_cli --faults <seed>`).
+//! one. Each property sweeps 64 PRNG seeds through `gossip::Cluster`; a
+//! failure message names the seed so the run replays exactly
+//! (`dams_cli --faults <seed>` replays the scripted scenario).
 
 use dams_crypto::sha256::Digest;
 use dams_crypto::SchnorrGroup;
-use dams_node::{run_faulted_simulation, FaultConfig, FaultyBus};
+use dams_node::{run_cluster_scenario, Cluster, FaultConfig};
 
 const SEEDS: u64 = 64;
 
-fn tips(bus: &FaultyBus) -> Vec<Digest> {
-    bus.nodes.iter().map(|n| n.tip_hash().unwrap()).collect()
+fn tips(cluster: &Cluster) -> Vec<Digest> {
+    cluster
+        .live_ids()
+        .into_iter()
+        .map(|i| cluster.node(i).unwrap().tip_hash().unwrap())
+        .collect()
+}
+
+/// Mine `blocks` two-output blocks on node 0, stepping once after each.
+fn mine(cluster: &mut Cluster, blocks: usize) {
+    for _ in 0..blocks {
+        cluster.mine_on(0, 2).unwrap();
+        cluster.step();
+    }
 }
 
 /// Partition-then-heal: a minority side cut off during mining must catch
@@ -21,25 +34,19 @@ fn tips(bus: &FaultyBus) -> Vec<Digest> {
 fn partition_then_heal_converges_across_seeds() {
     let group = SchnorrGroup::default();
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, FaultConfig::default());
-        for _ in 0..3 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
-        }
-        bus.partition(&[2]).unwrap();
-        for _ in 0..2 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
-        }
-        bus.heal();
-        let ticks = bus.run_until_quiet(400);
+        let mut cluster = Cluster::new(3, group, seed, FaultConfig::default()).unwrap();
+        mine(&mut cluster, 3);
+        cluster.partition(&[2]).unwrap();
+        mine(&mut cluster, 2);
+        cluster.heal();
+        let ticks = cluster.run_until_converged(400);
         assert!(ticks.is_some(), "seed {seed}: no convergence after heal");
-        let tips = tips(&bus);
+        let tips = tips(&cluster);
         assert!(
             tips.windows(2).all(|w| w[0] == w[1]),
             "seed {seed}: divergent tips {tips:?}"
         );
-        assert!(bus.batch_consensus(3), "seed {seed}: batch lists diverge");
+        assert!(cluster.batch_consensus(3), "seed {seed}: batch lists diverge");
     }
 }
 
@@ -59,50 +66,46 @@ fn duplicated_reordered_delivery_is_idempotent_across_seeds() {
     };
     const MINED: usize = 5;
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, cfg);
-        for _ in 0..MINED {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
-        }
-        let ticks = bus.run_until_quiet(300);
+        let mut cluster = Cluster::new(3, group, seed, cfg).unwrap();
+        mine(&mut cluster, MINED);
+        let ticks = cluster.run_until_converged(300);
         assert!(ticks.is_some(), "seed {seed}: no convergence");
-        for node in &bus.nodes {
+        for id in cluster.live_ids() {
             // Genesis + each mined block exactly once, despite duplicates.
             assert_eq!(
-                node.chain().height(),
+                cluster.node(id).unwrap().chain().height(),
                 MINED + 1,
                 "seed {seed}: duplicate application"
             );
         }
-        assert!(bus.batch_consensus(4), "seed {seed}: batch lists diverge");
-        assert!(bus.stats().duplicated > 0, "seed {seed}: fault model inert");
+        assert!(cluster.batch_consensus(4), "seed {seed}: batch lists diverge");
+        assert!(
+            cluster.fault_stats().duplicated > 0,
+            "seed {seed}: fault model inert"
+        );
     }
 }
 
-/// Crash/restart: a replica rebuilt from its snapshot by verified replay
-/// must reconverge with the survivors on the same tip and batch list.
+/// Crash/restart: a replica killed mid-run and restarted from its durable
+/// store by verified replay must reconverge with the survivors on the
+/// same tip and batch list.
 #[test]
 fn crash_restart_reconverges_across_seeds() {
     let group = SchnorrGroup::default();
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, FaultConfig::default());
-        for _ in 0..3 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
-        }
-        bus.crash_and_restore(1).unwrap();
-        for _ in 0..2 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
-        }
-        let ticks = bus.run_until_quiet(400);
+        let mut cluster = Cluster::new(3, group, seed, FaultConfig::default()).unwrap();
+        mine(&mut cluster, 3);
+        cluster.kill(1).unwrap();
+        cluster.restart(1).unwrap();
+        mine(&mut cluster, 2);
+        let ticks = cluster.run_until_converged(400);
         assert!(ticks.is_some(), "seed {seed}: no reconvergence after crash");
-        let tips = tips(&bus);
+        let tips = tips(&cluster);
         assert!(
             tips.windows(2).all(|w| w[0] == w[1]),
             "seed {seed}: divergent tips {tips:?}"
         );
-        assert!(bus.batch_consensus(3), "seed {seed}: batch lists diverge");
+        assert!(cluster.batch_consensus(3), "seed {seed}: batch lists diverge");
     }
 }
 
@@ -123,29 +126,36 @@ fn corrupt_frame_in_flight_across_heal_is_rejected_across_seeds() {
         reorder: true,
     };
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, cfg);
-        bus.partition(&[2]).unwrap();
+        let mut cluster = Cluster::new(3, group, seed, cfg).unwrap();
+        // Slot 3 is the cluster's dormant late-joiner slot; it sits on the
+        // partitioned side with node 2, so the only copy that enters the
+        // channel is the one to node 1.
+        cluster.partition(&[2, 3]).unwrap();
         // The announcement to node 1 is corrupted and delayed in flight;
-        // the copy for partitioned node 2 is suppressed at the source.
-        bus.mine_and_gossip(0, 1).unwrap();
-        bus.heal();
+        // the copies for the partitioned side are suppressed at the source.
+        cluster.mine_on(0, 1).unwrap();
+        cluster.heal();
         for _ in 0..12 {
-            bus.step();
+            cluster.step();
         }
         // The corrupted frame lands after the heal and is still refused —
-        // at the authenticated-frame decoder (header flip) or at full
-        // block validation (body flip). Either way no replica but the
-        // miner ever adopts anything.
-        assert_eq!(bus.nodes[0].chain().height(), 2, "seed {seed}");
-        for node in &bus.nodes[1..] {
+        // at the authenticated-frame decoder, which covers every byte of
+        // the attested block. No replica but the miner ever adopts
+        // anything.
+        assert_eq!(cluster.node(0).unwrap().chain().height(), 2, "seed {seed}");
+        for id in [1, 2] {
             assert_eq!(
-                node.chain().height(),
+                cluster.node(id).unwrap().chain().height(),
                 1,
                 "seed {seed}: corrupted frame was applied after the heal"
             );
         }
-        let s = bus.stats();
-        let discarded: u64 = bus.nodes.iter().map(|n| n.stats().blocks_discarded).sum();
+        let s = cluster.fault_stats();
+        let discarded: u64 = cluster
+            .live_ids()
+            .into_iter()
+            .map(|i| cluster.node(i).unwrap().stats().blocks_discarded)
+            .sum();
         assert!(
             s.corrupted >= 1 && s.delayed >= 1,
             "seed {seed}: fault model inert {s:?}"
@@ -167,15 +177,17 @@ fn corrupt_frame_in_flight_across_heal_is_rejected_across_seeds() {
 }
 
 /// The full scripted adversarial scenario (drop + duplicate + reorder +
-/// delay + corrupt + partition/heal + crash/restore) converges for every
-/// seed — the acceptance criterion of the fault-injection work.
+/// delay + corrupt + partition/heal + durable kill/restart + late
+/// joiner) converges for every seed at five replicas — the scenario
+/// `dams-cli --faults <seed>` replays.
 #[test]
 fn scripted_simulation_converges_across_seeds() {
     for seed in 0..SEEDS {
-        let report = run_faulted_simulation(seed);
+        let report = run_cluster_scenario(seed, 5).unwrap();
+        assert!(report.ok(), "seed {seed}: {}", report.render());
         assert!(report.converged, "seed {seed}: {report:?}");
         assert!(report.batch_consensus, "seed {seed}: {report:?}");
         assert!(report.ticks.is_some(), "seed {seed}: tick budget exhausted");
-        assert_eq!(report.height, 10, "seed {seed}: lost mined blocks");
+        assert_eq!(report.height, 11, "seed {seed}: lost mined blocks");
     }
 }

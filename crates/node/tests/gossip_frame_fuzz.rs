@@ -1,5 +1,6 @@
-//! Gossip-frame corruption sweep over all five wire kinds — block,
-//! tip, range, evidence (equivocation proof), refusal.
+//! Frame corruption sweep over all six wire kinds of the node layer's
+//! one codec — block, tip, range, evidence (equivocation proof),
+//! refusal, and the checkpoint catch-up bundle.
 //!
 //! Golden vectors prove clean frames round-trip through [`decode_frame`];
 //! then 64 seeded bit-flips and 64 seeded truncations per kind prove a
@@ -9,13 +10,17 @@
 //! against the identity directory. Never a panic, never a silent
 //! acceptance: this is the wire half of the Byzantine-defense argument
 //! (the transport may mangle anything; attribution must survive it).
+//! A mutated bundle frame is always a typed [`NodeError::SyncRejected`]
+//! from [`bootstrap_from_bundle`]: no replica comes up from it.
 
 use dams_node::{
-    decode_frame, frame_attested_block, frame_evidence, frame_range, frame_refusal, frame_tip,
-    Attestation, EquivocationProof, GossipFrame,
+    bootstrap_from_bundle, decode_frame, frame_attested_block, frame_evidence, frame_range,
+    frame_refusal, frame_tip, serve_bundle, Attestation, EquivocationProof, GossipFrame, NodeError,
+    NodeLimits, SimNode,
 };
 use dams_blockchain::{Amount, Chain, TokenOutput};
 use dams_crypto::{KeyPair, PublicKey, SchnorrGroup};
+use dams_store::{MemBackend, Store, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -169,5 +174,70 @@ fn mangled_evidence_never_verifies_as_a_proof() {
                 "seed {seed}: mutated byte {idx} produced a verifying proof"
             );
         }
+    }
+}
+
+/// The catch-up bundle a durable replica holding five blocks serves
+/// (past its first checkpoint, so both the checkpoint and the WAL tail
+/// travel in the frame).
+fn bundle_frame(group: SchnorrGroup) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(0xB0D1);
+    let mut node = SimNode::new(0, group);
+    let backend = || Box::new(MemBackend::new());
+    let store = Store::open(backend(), backend(), group, StoreConfig::default());
+    node.attach_store(store.expect("fresh store opens")).expect("store attaches");
+    for _ in 0..5 {
+        let owner = KeyPair::generate(&group, &mut rng).public;
+        node.chain_mut().submit_coinbase(vec![TokenOutput {
+            owner,
+            amount: Amount(1),
+        }]);
+        node.seal_block().expect("coinbase seals");
+    }
+    serve_bundle(&mut node).expect("durable replica serves a bundle")
+}
+
+/// Bootstrapping from `bytes` must fail with a typed sync rejection.
+fn assert_sync_rejected(group: SchnorrGroup, bytes: &[u8], what: &str) {
+    match bootstrap_from_bundle(9, group, NodeLimits::default(), bytes) {
+        Err(NodeError::SyncRejected { .. }) => {}
+        Err(e) => panic!("{what}: rejected, but not as SyncRejected: {e:?}"),
+        Ok((node, _)) => panic!("{what}: a replica came up at height {}", node.chain().height()),
+    }
+}
+
+#[test]
+fn bundle_bit_flips_yield_sync_rejections() {
+    let group = SchnorrGroup::default();
+    let clean = bundle_frame(group);
+    let (node, _) = bootstrap_from_bundle(9, group, NodeLimits::default(), &clean)
+        .expect("the clean bundle bootstraps");
+    assert_eq!(node.chain().height(), 6);
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(0xB0F1_0000 + seed);
+        let mut bytes = clean.clone();
+        let idx = rng.gen_range(0..bytes.len());
+        let bit = rng.gen_range(0..8u8);
+        bytes[idx] ^= 1 << bit;
+        assert_sync_rejected(group, &bytes, &format!("seed {seed}: bit {bit} of byte {idx}"));
+    }
+    // Well-formed frames of every gossip kind are not bundles.
+    for (name, frame) in &fixture().frames {
+        assert_sync_rejected(group, frame, name);
+    }
+}
+
+#[test]
+fn bundle_truncations_yield_sync_rejections() {
+    let group = SchnorrGroup::default();
+    let clean = bundle_frame(group);
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(0xB072_0000 + seed);
+        let cut = rng.gen_range(0..clean.len());
+        assert_sync_rejected(
+            group,
+            &clean[..cut],
+            &format!("seed {seed}: truncation at {cut}/{}", clean.len()),
+        );
     }
 }

@@ -1,40 +1,53 @@
-//! Property tests for the network layer: consensus must hold under every
+//! Property tests for the node layer: consensus must hold under every
 //! delivery order and any gossip interleaving.
 
 use proptest::prelude::*;
 
-use dams_blockchain::{Amount, TokenOutput};
+use dams_blockchain::{Amount, BatchList, Block, TokenOutput};
 use dams_crypto::{KeyPair, SchnorrGroup};
-use dams_node::{BlockAnnouncement, Bus};
+use dams_node::{BlockAnnouncement, SimNode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Mine `blocks` coinbase blocks on node 0, collecting them.
-fn mine(bus: &mut Bus, blocks: usize, seed: u64) -> Vec<dams_blockchain::Block> {
+/// Mine `blocks` two-output coinbase blocks on a fresh miner.
+fn mine(blocks: usize, seed: u64) -> (SimNode, Vec<Block>) {
+    let group = SchnorrGroup::default();
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut miner = SimNode::new(0, group);
     let mut out = Vec::new();
     for _ in 0..blocks {
-        let group = *bus.nodes[0].chain().group();
         let outs: Vec<TokenOutput> = (0..2)
             .map(|_| TokenOutput {
                 owner: KeyPair::generate(&group, &mut rng).public,
                 amount: Amount(1),
             })
             .collect();
-        // Node 0 mines locally through its public chain handle.
-        let node = &mut bus.nodes[0];
-        let chain = node_chain_mut(node);
-        chain.submit_coinbase(outs);
-        chain.seal_block().unwrap();
-        out.push(chain.blocks().last().expect("sealed").clone());
+        miner.chain_mut().submit_coinbase(outs);
+        out.push(miner.seal_block().unwrap());
     }
-    out
+    (miner, out)
 }
 
-/// Test-only access to a node's chain (the `SimNode` field is private; we
-/// go through a helper the crate exposes for mining nodes).
-fn node_chain_mut(node: &mut dams_node::SimNode) -> &mut dams_blockchain::Chain {
-    node.chain_mut()
+/// Process `node`'s inbox, answering its parent requests from `miner`,
+/// until neither makes progress.
+fn settle(node: &mut SimNode, miner: &SimNode) {
+    loop {
+        let appended = node.process_inbox();
+        let requests = node.parent_requests();
+        for hash in &requests {
+            let block = miner.serve_block(*hash).expect("the miner has every block");
+            node.deliver(BlockAnnouncement { block }).unwrap();
+        }
+        if appended == 0 && requests.is_empty() {
+            break;
+        }
+    }
+}
+
+fn agrees(node: &SimNode, miner: &SimNode, lambda: usize) -> bool {
+    node.tip_hash() == miner.tip_hash()
+        && BatchList::build(node.chain(), lambda).batches()
+            == BatchList::build(miner.chain(), lambda).batches()
 }
 
 proptest! {
@@ -47,20 +60,22 @@ proptest! {
         seed in 0u64..100,
     ) {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(3, group);
-        let blocks = mine(&mut bus, 5, seed);
-        // Deliver to nodes 1 and 2 in the permuted order.
+        let (miner, blocks) = mine(5, seed);
+        // Deliver to two replicas in the permuted order and its reverse.
         let mut order: Vec<usize> = (0..blocks.len()).collect();
         order.sort_by_key(|&i| perm[i]);
+        let mut forward = SimNode::new(1, group);
+        let mut backward = SimNode::new(2, group);
         for &i in &order {
-            bus.nodes[1].deliver(BlockAnnouncement { block: blocks[i].clone() }).unwrap();
+            forward.deliver(BlockAnnouncement { block: blocks[i].clone() }).unwrap();
         }
         for &i in order.iter().rev() {
-            bus.nodes[2].deliver(BlockAnnouncement { block: blocks[i].clone() }).unwrap();
+            backward.deliver(BlockAnnouncement { block: blocks[i].clone() }).unwrap();
         }
-        bus.settle();
-        prop_assert!(bus.converged());
-        prop_assert!(bus.batch_consensus(4));
+        settle(&mut forward, &miner);
+        settle(&mut backward, &miner);
+        prop_assert!(agrees(&forward, &miner, 4));
+        prop_assert!(agrees(&backward, &miner, 4));
     }
 
     /// Dropping an interior block no longer stalls convergence: later
@@ -69,24 +84,24 @@ proptest! {
     /// stalls, and redelivery heals that too.
     #[test]
     fn missing_block_heals_via_parent_requests(drop_idx in 0usize..4, seed in 0u64..50) {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        let blocks = mine(&mut bus, 4, seed);
+        let (miner, blocks) = mine(4, seed);
+        let mut node = SimNode::new(1, SchnorrGroup::default());
         for (i, b) in blocks.iter().enumerate() {
             if i != drop_idx {
-                bus.nodes[1].deliver(BlockAnnouncement { block: b.clone() }).unwrap();
+                node.deliver(BlockAnnouncement { block: b.clone() }).unwrap();
             }
         }
-        bus.settle();
+        settle(&mut node, &miner);
+        let converged = node.tip_hash() == miner.tip_hash();
         if drop_idx < blocks.len() - 1 {
-            prop_assert!(bus.converged(), "parent requests should heal gap {drop_idx}");
+            prop_assert!(converged, "parent requests should heal gap {drop_idx}");
         } else {
-            prop_assert!(!bus.converged(), "nothing signals a missing tip");
+            prop_assert!(!converged, "nothing signals a missing tip");
         }
         // Redelivering the dropped block converges (and is idempotent for
         // the interior cases that already healed).
-        bus.nodes[1].deliver(BlockAnnouncement { block: blocks[drop_idx].clone() }).unwrap();
-        bus.settle();
-        prop_assert!(bus.converged());
+        node.deliver(BlockAnnouncement { block: blocks[drop_idx].clone() }).unwrap();
+        settle(&mut node, &miner);
+        prop_assert!(node.tip_hash() == miner.tip_hash());
     }
 }

@@ -19,7 +19,7 @@
 //!   layout and sums of [`Unit::Nanos`] histograms) are suppressed and
 //!   timers report **only their observation counts**. Under a fixed PRNG
 //!   seed the rendered snapshot is byte-for-byte reproducible, so tests
-//!   can assert "the fault bus dropped exactly d frames at seed s" or
+//!   can assert "the fault channel dropped exactly d frames at seed s" or
 //!   diff two whole runs.
 //! * [`Mode::Full`] — everything, including nanosecond sums, bucket
 //!   counts, and estimated p50/p90/p99. This is what perf baselines

@@ -131,15 +131,21 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Open (creating if absent) the file at `path`.
+    /// Open (creating if absent) the file at `path`. Creating the file
+    /// also fsyncs its parent directory, so the new directory entry is as
+    /// durable as the bytes later synced into it.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
+        let mut options = std::fs::OpenOptions::new();
+        options.read(true).write(true);
+        let file = match options.clone().create_new(true).open(&path) {
+            Ok(file) => {
+                sync_parent_dir(&path)?;
+                file
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => options.open(&path)?,
+            Err(e) => return Err(e.into()),
+        };
         Ok(FileBackend {
             path,
             file,
@@ -157,6 +163,17 @@ impl FileBackend {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// fsync the directory holding `path` (the working directory for a bare
+/// file name).
+fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 impl Backend for FileBackend {
@@ -265,5 +282,12 @@ mod tests {
             assert_eq!(b.read_all().unwrap(), b"hello");
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn parent_dir_of_a_bare_file_name_is_the_working_directory() {
+        sync_parent_dir(Path::new("wal.bin")).unwrap();
+        let missing = std::env::temp_dir().join("dams-store-no-such-dir").join("wal.bin");
+        assert!(sync_parent_dir(&missing).is_err());
     }
 }

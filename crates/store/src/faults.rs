@@ -1,7 +1,7 @@
 //! Storage faults — the disk half of the PR-1 fault model.
 //!
-//! The network bus already drops, duplicates, reorders, delays, and
-//! corrupts *messages*; these faults do the same to *durable bytes*,
+//! `dams-node`'s fault channel already drops, duplicates, reorders,
+//! delays, and corrupts *messages*; these faults do the same to *durable bytes*,
 //! applied through [`crate::backend::Backend::inject`] so the identical
 //! fault schedule runs against [`crate::backend::MemBackend`] in the
 //! seeded sweeps and [`crate::backend::FileBackend`] under the CLI.

@@ -8,7 +8,7 @@
 //! └── body = everything after len; len = 33 + payload.len() ──┘
 //! ```
 //!
-//! This reuses the fault-bus framing discipline (`kind ‖ digest ‖
+//! This reuses the node layer's framing discipline (`kind ‖ digest ‖
 //! payload`, see `dams-node`'s gossip codec) with a length prefix added
 //! so frames can stream over a real byte pipe: the reader knows how many
 //! bytes to pull before it can judge the frame at all. The digest makes

@@ -6,18 +6,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_blockchain::{
-    block_to_bytes, decode_block, Amount, CodecError, TokenOutput,
+    block_to_bytes, decode_block, Amount, BatchList, CodecError, TokenOutput,
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
-use dams_node::{BlockAnnouncement, Bus};
+use dams_node::{BlockAnnouncement, SimNode};
 
 #[test]
 fn byte_gossip_converges() {
     let group = SchnorrGroup::default();
-    let mut bus = Bus::new(3, group);
+    let mut miner = SimNode::new(0, group);
     let mut rng = StdRng::seed_from_u64(1);
 
-    // Node 0 mines 4 blocks; each is shipped as bytes.
+    // The miner mines 4 blocks; each is shipped as bytes.
     let mut wire: Vec<Vec<u8>> = Vec::new();
     for _ in 0..4 {
         let outs: Vec<TokenOutput> = (0..3)
@@ -26,44 +26,43 @@ fn byte_gossip_converges() {
                 amount: Amount(1),
             })
             .collect();
-        let chain = bus.nodes[0].chain_mut();
-        chain.submit_coinbase(outs);
-        chain.seal_block().unwrap();
-        wire.push(block_to_bytes(chain.blocks().last().expect("sealed")));
+        miner.chain_mut().submit_coinbase(outs);
+        wire.push(block_to_bytes(&miner.seal_block().unwrap()));
     }
 
     // Peers decode from bytes (validating group membership en route).
+    let mut peers = [SimNode::new(1, group), SimNode::new(2, group)];
     for bytes in &wire {
         let block = decode_block(&group, bytes).expect("well-formed wire block");
-        bus.nodes[1]
-            .deliver(BlockAnnouncement {
+        for peer in &mut peers {
+            peer.deliver(BlockAnnouncement {
                 block: block.clone(),
             })
             .unwrap();
-        bus.nodes[2].deliver(BlockAnnouncement { block }).unwrap();
+        }
     }
-    bus.settle();
-    assert!(bus.converged());
-    assert!(bus.batch_consensus(5));
-    for n in &bus.nodes {
-        assert!(n.chain().audit());
-        assert_eq!(n.chain().token_count(), 12);
+    let batches = BatchList::build(miner.chain(), 5);
+    for peer in &mut peers {
+        peer.process_inbox();
+        assert_eq!(peer.tip_hash(), miner.tip_hash());
+        assert_eq!(BatchList::build(peer.chain(), 5).batches(), batches.batches());
+        assert!(peer.chain().audit());
+        assert_eq!(peer.chain().token_count(), 12);
     }
 }
 
 #[test]
 fn corrupted_wire_block_never_reaches_the_chain() {
     let group = SchnorrGroup::default();
-    let mut bus = Bus::new(2, group);
+    let mut miner = SimNode::new(0, group);
+    let mut node = SimNode::new(1, group);
     let mut rng = StdRng::seed_from_u64(2);
     let outs = vec![TokenOutput {
         owner: KeyPair::generate(&group, &mut rng).public,
         amount: Amount(1),
     }];
-    let chain = bus.nodes[0].chain_mut();
-    chain.submit_coinbase(outs);
-    chain.seal_block().unwrap();
-    let mut bytes = block_to_bytes(chain.blocks().last().expect("sealed"));
+    miner.chain_mut().submit_coinbase(outs);
+    let mut bytes = block_to_bytes(&miner.seal_block().unwrap());
 
     // Flip bits across the block: corruption in the transaction payload
     // fails decode or the content hash; corruption in the header breaks
@@ -82,12 +81,12 @@ fn corrupted_wire_block_never_reaches_the_chain() {
             | Err(CodecError::TrailingBytes(_))
             | Err(CodecError::InvalidElement(_)) => decode_failures += 1,
             Ok(block) => {
-                let before = bus.nodes[1].chain().height();
-                bus.nodes[1].deliver(BlockAnnouncement { block }).unwrap();
-                bus.nodes[1].process_inbox();
+                let before = node.chain().height();
+                node.deliver(BlockAnnouncement { block }).unwrap();
+                node.process_inbox();
                 // Either the prev_hash no longer links (orphan forever) or
                 // the content hash mismatch discards it.
-                if bus.nodes[1].chain().height() == before {
+                if node.chain().height() == before {
                     adoption_discards += 1;
                 }
             }
@@ -95,9 +94,5 @@ fn corrupted_wire_block_never_reaches_the_chain() {
         bytes[pos] ^= 0x55; // restore
     }
     assert!(decode_failures + adoption_discards > 0);
-    assert_eq!(
-        bus.nodes[1].chain().height(),
-        1,
-        "no corrupted block may be adopted"
-    );
+    assert_eq!(node.chain().height(), 1, "no corrupted block may be adopted");
 }
