@@ -121,8 +121,8 @@ use dams_core::{
 };
 use dams_obs::Mode;
 use dams_diversity::{
-    analyze, batch_anonymity, matching::reduction_graph, DiversityRequirement, HtHistogram, HtId,
-    NeighborTracker, RingIndex, RingSet, TokenId, TokenUniverse,
+    analyze, matching::reduction_graph, DiversityRequirement, HtHistogram, HtId, RingIndex,
+    RingSet, TokenId, TokenUniverse,
 };
 use dams_workload::{simulate_batch, SimulationConfig, SyntheticConfig};
 
@@ -251,9 +251,6 @@ fn main() {
                 "committed {} of {spends} spends (mean ring {:.1}); {} linkable",
                 out.committed, out.mean_ring_size, out.resolved_at_end
             );
-            // Rerun the committed rings through the anonymity metrics.
-            let _ = NeighborTracker::new();
-            let _ = batch_anonymity; // metrics summarised inside simulate_batch
         }
         "hardness" => {
             let rings = parse_rings(&get("--rings").unwrap_or_else(|| die("--rings required")));

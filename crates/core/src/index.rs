@@ -1322,6 +1322,31 @@ mod tests {
     }
 
     #[test]
+    fn nested_ring_bumps_subset_count() {
+        // Ring {0, 1, 2} merges three fresh tokens; the strict subset
+        // {0, 1} then nests: the partition stands and the super RS swallows
+        // one more committed ring, which rollback gives back.
+        let block = |height: u64, tokens: Vec<u64>| BlockDelta {
+            height,
+            minted: if height == 0 { (0..6).map(|t| (t, t)).collect() } else { vec![] },
+            rings: vec![DeltaRing { tokens, claimed_c: 1.0, claimed_l: 1 }],
+        };
+        let deltas = [block(0, vec![0, 1, 2]), block(1, vec![0, 1])];
+        let shape = |index: &DiversityIndex| {
+            let mi = index.snapshot(0).unwrap().modular.clone().unwrap();
+            (mi.modules().len(), mi.subset_count(ModuleId(0)))
+        };
+        let mut index = DiversityIndex::new(100); // one open batch
+        index.apply_block(&deltas[0]).unwrap();
+        assert_eq!(shape(&index), (4, 1));
+        index.apply_block(&deltas[1]).unwrap();
+        assert_eq!(shape(&index), (4, 2));
+        recompute_equivalence(&index, &deltas).unwrap();
+        index.rollback_block().unwrap();
+        assert_eq!(shape(&index), (4, 1));
+    }
+
+    #[test]
     fn cross_batch_rings_are_tracked_and_excluded() {
         let mut index = DiversityIndex::new(2);
         let deltas = vec![

@@ -256,8 +256,8 @@ impl ModularInstance {
     }
 
     /// [`Self::from_modules`] with explicit subset counts `v_i`, for callers
-    /// (the streaming index, incremental histories) that track how many
-    /// committed rings each super RS swallowed. [`Self::decompose`] derives
+    /// (the streaming index, [`crate::ModularHistory::commit`]) that track
+    /// how many committed rings each super RS swallowed. [`Self::decompose`] derives
     /// the same counts from the raw ring history; supplying them here keeps
     /// an incrementally maintained view bit-identical to a decomposition.
     ///

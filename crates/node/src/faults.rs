@@ -95,6 +95,9 @@ pub struct FaultStats {
     /// Block copies a node's inbox accepted. A copy refused by a full
     /// inbox counts in `inbox_rejected` instead, never in both.
     pub delivered: u64,
+    /// Copies addressed to a dead or dormant endpoint: released to it, or
+    /// still in flight when it was killed.
+    pub undeliverable: u64,
 }
 
 /// One message copy travelling through the faulty network. The source
@@ -252,7 +255,11 @@ impl FaultChannel {
     /// Drop every in-flight frame addressed to `dest` — it crashed, and
     /// traffic aimed at it dies with it.
     pub fn drop_addressed_to(&mut self, dest: usize) {
+        let before = self.in_flight.len();
         self.in_flight.retain(|m| m.dest != dest);
+        let lost = (before - self.in_flight.len()) as u64;
+        self.stats.undeliverable += lost;
+        NodeMetrics::global().bus_undeliverable.add(lost);
     }
 }
 
@@ -384,6 +391,7 @@ mod tests {
         c.send_from(1, 0, vec![1]);
         c.send_from(0, 1, vec![2]);
         c.drop_addressed_to(1);
+        assert_eq!(c.stats.undeliverable, 1);
         let due = c.advance();
         assert_eq!(due, vec![(1, 0, vec![1])]);
         assert!(c.idle());

@@ -650,8 +650,13 @@ impl Cluster {
                         continue;
                     }
                     // Frames addressed to a dead or dormant slot vanish,
-                    // like packets to a powered-off host.
-                    _ => continue,
+                    // like packets to a powered-off host — into their own
+                    // bucket, so the wire accounting still closes.
+                    _ => {
+                        chan_stats.undeliverable += 1;
+                        metrics.bus_undeliverable.inc();
+                        continue;
+                    }
                 };
                 let defense = &mut defenses[dest];
                 let fk = match bytes.first() {
@@ -1412,6 +1417,26 @@ mod tests {
             .map(|&i| cluster.node(i).unwrap().stats().inbox_rejected)
             .sum();
         assert_eq!(refused, f.inbox_rejected);
+    }
+
+    #[test]
+    fn a_copy_sent_to_the_dormant_slot_lands_in_exactly_one_bucket() {
+        let group = SchnorrGroup::default();
+        let mut cluster = Cluster::new(3, group, 5, FaultConfig::lossless()).unwrap();
+        // The miner announces to every other slot, the dormant late-joiner
+        // slot 3 included; that copy has no inbox to reach.
+        cluster.mine_on(0, 1).unwrap();
+        for _ in 0..=cluster.config().stage_ticks + 1 {
+            cluster.step();
+        }
+        assert!(cluster.staging_empty());
+        let f = cluster.fault_stats();
+        assert_eq!((f.sent, f.delivered, f.undeliverable), (3, 2, 1), "{f:?}");
+        assert_eq!(
+            f.delivered + f.decode_rejected + f.inbox_rejected + f.undeliverable,
+            f.sent,
+            "{f:?}"
+        );
     }
 
     #[test]

@@ -57,4 +57,4 @@ pub use report::render_report;
 pub use validate::{validate_ring, Verdict};
 pub use verifier::{AllOf, RecencyConfiguration, TokenMagicConfiguration};
 pub use views::{BatchProvider, FullNode, LightNode};
-pub use wallet::{SpendSession, Wallet, WalletError};
+pub use wallet::{Wallet, WalletError};

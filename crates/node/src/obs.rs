@@ -33,6 +33,9 @@ pub struct NodeMetrics {
     pub bus_partition_blocked: Counter,
     /// `node.bus.delivered_total` — copies that reached a node's inbox.
     pub bus_delivered: Counter,
+    /// `node.bus.undeliverable_total` — copies addressed to a dead or
+    /// dormant slot.
+    pub bus_undeliverable: Counter,
     /// `node.inbox.rejected_total` — deliveries refused by a full inbox.
     pub inbox_rejected: Counter,
     /// `node.inbox.high_watermark` — deepest inbox observed on any replica.
@@ -133,6 +136,7 @@ impl NodeMetrics {
             bus_decode_rejected: registry.counter("node.bus.decode_rejected_total"),
             bus_partition_blocked: registry.counter("node.bus.partition_blocked_total"),
             bus_delivered: registry.counter("node.bus.delivered_total"),
+            bus_undeliverable: registry.counter("node.bus.undeliverable_total"),
             inbox_rejected: registry.counter("node.inbox.rejected_total"),
             inbox_high_watermark: registry.gauge("node.inbox.high_watermark"),
             orphans_evicted: registry.counter("node.orphans.evicted_total"),

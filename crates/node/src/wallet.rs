@@ -1,32 +1,37 @@
 //! A wallet: the client-side actor of the whole pipeline.
 //!
 //! Owns key pairs, tracks which ledger tokens it can spend, and drives
-//! the full Step-1→2 flow: derive the batch's algorithmic view, run a
-//! DA-MS selection under its privacy policy, validate the candidate ring
-//! (Definition 5), sign, and submit — exactly what §4 describes a user
-//! doing offline before broadcasting.
+//! the full Step-1→2 flow: catch a [`DiversityIndex`] up with the chain,
+//! read the target's batch view from it, run a DA-MS selection under its
+//! privacy policy, validate the candidate ring (Definition 5), sign, and
+//! submit — exactly what §4 describes a user doing offline before
+//! broadcasting. The index is the one structure that folds committed
+//! rings into the module partition; the wallet keeps no partition of its
+//! own.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::Rng;
 
 use dams_blockchain::{
-    Chain, ChainError, RingConfiguration, RingInput, TokenOutput, Transaction, TxId, VerifyError,
+    Amount, Chain, ChainError, RingConfiguration, RingInput, TokenId, TokenOutput, Transaction,
+    VerifyError,
 };
-use dams_core::{ModularHistory, ModularInstance, PracticalAlgorithm, SelectionPolicy, TokenMagic};
+use dams_core::{
+    BatchSnapshot, DiversityIndex, IndexError, PracticalAlgorithm, SelectionPolicy, TokenMagic,
+};
 use dams_crypto::{KeyPair, PublicKey};
-use dams_diversity::{
-    DiversityRequirement, HtId, NeighborTracker, RingIndex, RingSet, TokenUniverse,
-};
+use dams_diversity::{NeighborTracker, RingSet};
 
-use crate::auditor::chain_view;
+use crate::indexing::block_delta;
 use crate::validate::{validate_ring, Verdict};
 
 /// Errors a wallet can surface.
 #[derive(Debug)]
 pub enum WalletError {
     /// The wallet holds no key for the requested token.
-    NotOurs(dams_blockchain::TokenId),
+    NotOurs(TokenId),
     /// The batch cannot produce an eligible ring (relax the requirement).
     Selection(dams_core::SelectError),
     /// The wallet's own Definition-5 validation rejected the ring.
@@ -40,6 +45,10 @@ pub enum WalletError {
     /// The committed history is not laminar — the chain contains rings
     /// that violate the first practical configuration.
     BrokenHistory,
+    /// The diversity index cannot follow this chain: it rejected one of
+    /// the chain's blocks, or does not hold the spent token (it was fed
+    /// another chain's blocks).
+    Index(IndexError),
     /// The selection service refused the request (admission control):
     /// the deadline budget is infeasible or the exact-tier circuit is
     /// open. The spend was not attempted — retry with a larger budget or
@@ -59,6 +68,7 @@ impl std::fmt::Display for WalletError {
             WalletError::BrokenHistory => {
                 write!(f, "committed rings violate the practical configuration")
             }
+            WalletError::Index(e) => write!(f, "diversity index cannot follow the chain: {e}"),
             WalletError::Shed(r) => write!(f, "selection service shed the request: {r}"),
         }
     }
@@ -66,89 +76,27 @@ impl std::fmt::Display for WalletError {
 
 impl std::error::Error for WalletError {}
 
-/// A long-lived spend session: the incremental counterpart of deriving a
-/// fresh [`ChainView`](crate::auditor::ChainView) and running
-/// [`ModularInstance::decompose`] on every spend.
-///
-/// The session keeps a [`ModularHistory`] in lock-step with the chain:
-/// [`SpendSession::sync`] folds each new block's minted tokens in via
-/// `extend_universe` and each committed ring via `absorb_ring` — an O(n)
-/// merge per ring instead of the O(n²) from-scratch decomposition — so a
-/// wallet making many spends pays the partition cost once per *block*,
-/// not once per *spend*.
-#[derive(Default)]
-pub struct SpendSession {
-    history: Option<ModularHistory>,
-    /// Dense renumbering of origin `TxId`s, mirroring
-    /// [`chain_view`](crate::auditor::chain_view)'s labeling exactly so
-    /// session verdicts are bit-identical to snapshot verdicts.
-    ht_ids: HashMap<TxId, u32>,
-    /// Blocks already folded into the history.
-    blocks_seen: usize,
-}
-
-impl SpendSession {
-    pub fn new() -> Self {
-        SpendSession::default()
+/// Catch `index` up with `chain` — O(Δ) in the blocks above its last
+/// applied height — and return the view of `token`'s batch together
+/// with the token's batch-local id.
+fn batch_view(
+    chain: &Chain,
+    index: &mut DiversityIndex,
+    token: TokenId,
+) -> Result<(Arc<BatchSnapshot>, dams_diversity::TokenId), WalletError> {
+    let next = index.last_height().map_or(0, |h| h as usize + 1);
+    for block in chain.blocks().iter().skip(next) {
+        index.apply_block(&block_delta(block)).map_err(WalletError::Index)?;
     }
-
-    /// The maintained modular view (for inspection; `None` before the
-    /// first [`SpendSession::sync`]).
-    pub fn history(&self) -> Option<&ModularHistory> {
-        self.history.as_ref()
-    }
-
-    /// How many chain blocks the session has absorbed.
-    pub fn blocks_seen(&self) -> usize {
-        self.blocks_seen
-    }
-
-    /// Catch the session up to `chain`'s tip: O(Δ) in the new blocks.
-    ///
-    /// A non-laminar committed ring (one that straddles the maintained
-    /// partition) surfaces as [`WalletError::BrokenHistory`] — the same
-    /// verdict the decompose path gives for such a chain.
-    pub fn sync(&mut self, chain: &Chain) -> Result<(), WalletError> {
-        let mut history = self
-            .history
-            .take()
-            .unwrap_or_else(|| ModularHistory::fresh(TokenUniverse::new(Vec::new())));
-        for block in &chain.blocks()[self.blocks_seen..] {
-            // Mint first: a block's rings may reference its own earlier
-            // transactions' outputs.
-            let mut new_hts = Vec::new();
-            for ct in &block.transactions {
-                for _ in &ct.output_ids {
-                    let next = self.ht_ids.len() as u32;
-                    new_hts.push(HtId(*self.ht_ids.entry(ct.id).or_insert(next)));
-                }
-            }
-            history.extend_universe(new_hts);
-            for ct in &block.transactions {
-                for input in &ct.tx.inputs {
-                    let ring = RingSet::new(
-                        input.ring.iter().map(|t| dams_diversity::TokenId(t.0 as u32)),
-                    );
-                    let claim = DiversityRequirement::new(
-                        input.claimed_c.max(f64::MIN_POSITIVE),
-                        input.claimed_l.max(1),
-                    );
-                    if history.absorb_ring(&ring, claim).is_err() {
-                        // The chain's committed history is non-laminar; a
-                        // half-absorbed block must not linger, so reset —
-                        // a retry resyncs from genesis and fails at the
-                        // same ring.
-                        self.blocks_seen = 0;
-                        self.ht_ids.clear();
-                        return Err(WalletError::BrokenHistory);
-                    }
-                }
-            }
-            self.blocks_seen += 1;
-        }
-        self.history = Some(history);
-        Ok(())
-    }
+    let snap = index
+        .batch_of(token.0)
+        .and_then(|b| index.snapshot(b))
+        .ok_or(WalletError::Index(IndexError::UnknownRingToken(token.0)))?;
+    let local = snap
+        .tokens
+        .binary_search(&token.0)
+        .expect("a batch snapshot lists every token of its batch");
+    Ok((snap, dams_diversity::TokenId(local as u32)))
 }
 
 /// The wallet.
@@ -199,9 +147,9 @@ impl Wallet {
 
     /// Scan the chain for tokens this wallet controls and whose key image
     /// has not been consumed.
-    pub fn spendable(&self, chain: &Chain) -> Vec<dams_blockchain::TokenId> {
+    pub fn spendable(&self, chain: &Chain) -> Vec<TokenId> {
         (0..chain.token_count() as u64)
-            .map(dams_blockchain::TokenId)
+            .map(TokenId)
             .filter(|t| {
                 chain.token(*t).is_some_and(|rec| {
                     self.keys.get(&rec.owner.value()).is_some_and(|kp| {
@@ -212,104 +160,65 @@ impl Wallet {
             .collect()
     }
 
+    /// The amount and signing key behind `token` — the one token→signer
+    /// lookup every spend path shares.
+    fn signer_of(&self, chain: &Chain, token: TokenId) -> Result<(Amount, KeyPair), WalletError> {
+        let rec = chain.token(token).ok_or(WalletError::NotOurs(token))?;
+        let signer = *self
+            .keys
+            .get(&rec.owner.value())
+            .ok_or(WalletError::NotOurs(token))?;
+        Ok((rec.amount, signer))
+    }
+
     /// Spend `token` to `receiver`: select mixins, self-validate, sign,
     /// submit under `config`, and seal a block.
+    ///
+    /// The mixin universe is the whole chain: this is
+    /// [`Wallet::spend_incremental`] over a throwaway index whose one
+    /// batch never closes.
     pub fn spend<R: Rng + ?Sized>(
         &self,
         chain: &mut Chain,
-        token: dams_blockchain::TokenId,
+        token: TokenId,
         receiver: PublicKey,
         config: &dyn RingConfiguration,
         rng: &mut R,
     ) -> Result<RingSet, WalletError> {
-        let rec = chain
-            .token(token)
-            .ok_or(WalletError::NotOurs(token))?
-            .clone();
-        let signer = *self
-            .keys
-            .get(&rec.owner.value())
-            .ok_or(WalletError::NotOurs(token))?;
-
-        // Step 1: derive the view, decompose, select.
-        let view = chain_view(chain);
-        let instance = dams_core::Instance::new(
-            view.universe.clone(),
-            view.rings.clone(),
-            view.claims
-                .iter()
-                .map(|&(c, l)| DiversityRequirement::new(c.max(f64::MIN_POSITIVE), l.max(1)))
-                .collect(),
-        );
-        let modular =
-            ModularInstance::decompose(&instance).map_err(|_| WalletError::BrokenHistory)?;
-        let tm = TokenMagic::new(self.algorithm, self.policy);
-        let tracker = NeighborTracker::new();
-        let alg_token = dams_diversity::TokenId(token.0 as u32);
-        let selection = tm
-            .generate(&modular, alg_token, &tracker, rng)
-            .map_err(WalletError::Selection)?;
-
-        self.validate_sign_submit(
-            chain,
-            &selection.ring,
-            &view.rings,
-            &instance.claims,
-            &view.universe,
-            rec.amount,
-            &signer,
-            receiver,
-            config,
-            rng,
-        )?;
-        Ok(selection.ring)
+        let mut index = DiversityIndex::new(usize::MAX);
+        self.spend_incremental(chain, &mut index, token, receiver, config, rng)
     }
 
-    /// Spend `token` through a long-lived [`SpendSession`]: the session's
-    /// incrementally maintained [`ModularHistory`] replaces the per-spend
-    /// chain-view rebuild and O(n²) decomposition of [`Wallet::spend`].
-    /// The session catches up O(Δ) on the blocks adopted since its last
-    /// sync (including the wallet's own previous spends) before selecting.
+    /// Spend `token` against a long-lived [`DiversityIndex`]: the index
+    /// catches up O(Δ) on the blocks adopted since the last call (the
+    /// wallet's own previous spends included), and selection runs on the
+    /// maintained partition of the token's λ-batch. The ring comes back
+    /// as sorted ledger ids, always inside the token's batch.
     pub fn spend_incremental<R: Rng + ?Sized>(
         &self,
         chain: &mut Chain,
-        session: &mut SpendSession,
-        token: dams_blockchain::TokenId,
+        index: &mut DiversityIndex,
+        token: TokenId,
         receiver: PublicKey,
         config: &dyn RingConfiguration,
         rng: &mut R,
     ) -> Result<RingSet, WalletError> {
-        let rec = chain
-            .token(token)
-            .ok_or(WalletError::NotOurs(token))?
-            .clone();
-        let signer = *self
-            .keys
-            .get(&rec.owner.value())
-            .ok_or(WalletError::NotOurs(token))?;
-
-        session.sync(chain)?;
-        let history = session.history.as_ref().expect("sync installs a history");
-        let tm = TokenMagic::new(self.algorithm, self.policy);
-        let tracker = NeighborTracker::new();
-        let alg_token = dams_diversity::TokenId(token.0 as u32);
-        let selection = tm
-            .generate(history.instance(), alg_token, &tracker, rng)
+        let (amount, signer) = self.signer_of(chain, token)?;
+        let (snap, local) = batch_view(chain, index, token)?;
+        let modular = snap.modular.as_ref().ok_or(WalletError::BrokenHistory)?;
+        let selection = TokenMagic::new(self.algorithm, self.policy)
+            .generate(modular, local, &NeighborTracker::new(), rng)
             .map_err(WalletError::Selection)?;
-
         self.validate_sign_submit(
             chain,
+            &snap,
             &selection.ring,
-            history.rings(),
-            history.claims(),
-            history.universe(),
-            rec.amount,
+            amount,
             &signer,
             receiver,
             config,
             rng,
-        )?;
-        Ok(selection.ring)
+        )
     }
 
     /// Spend `token` under an explicit deadline budget, routed through
@@ -328,7 +237,7 @@ impl Wallet {
     pub fn spend_with_budget<R: Rng + ?Sized>(
         &self,
         chain: &mut Chain,
-        token: dams_blockchain::TokenId,
+        token: TokenId,
         receiver: PublicKey,
         config: &dyn RingConfiguration,
         budget_ticks: u64,
@@ -336,63 +245,48 @@ impl Wallet {
         registry: &dams_obs::Registry,
         rng: &mut R,
     ) -> Result<RingSet, WalletError> {
-        let rec = chain
-            .token(token)
-            .ok_or(WalletError::NotOurs(token))?
-            .clone();
-        let signer = *self
-            .keys
-            .get(&rec.owner.value())
-            .ok_or(WalletError::NotOurs(token))?;
-
-        let view = chain_view(chain);
-        let instance = dams_core::Instance::new(
-            view.universe.clone(),
-            view.rings.clone(),
-            view.claims
-                .iter()
-                .map(|&(c, l)| DiversityRequirement::new(c.max(f64::MIN_POSITIVE), l.max(1)))
-                .collect(),
-        );
-        let mut frontend = dams_svc::Frontend::new(&instance, self.policy, self.svc, registry);
-        let alg_token = dams_diversity::TokenId(token.0 as u32);
+        let (amount, signer) = self.signer_of(chain, token)?;
+        let (snap, local) = batch_view(chain, &mut DiversityIndex::new(usize::MAX), token)?;
+        let mut frontend = dams_svc::Frontend::new(&snap.instance, self.policy, self.svc, registry);
         let degraded = frontend
-            .select(alg_token, budget_ticks, require_exact)
+            .select(local, budget_ticks, require_exact)
             .map_err(WalletError::Shed)?;
-
         self.validate_sign_submit(
             chain,
+            &snap,
             &degraded.selection.ring,
-            &view.rings,
-            &instance.claims,
-            &view.universe,
-            rec.amount,
+            amount,
             &signer,
             receiver,
             config,
             rng,
-        )?;
-        Ok(degraded.selection.ring)
+        )
     }
 
-    /// Shared spend tail: Definition-5 self-validation, ring signing,
-    /// submission, and block sealing.
+    /// Shared spend tail: Definition-5 self-validation against the batch
+    /// view, ring signing, submission, and block sealing. `ring` holds
+    /// batch-local ids; the returned ring holds ledger ids.
     #[allow(clippy::too_many_arguments)]
     fn validate_sign_submit<R: Rng + ?Sized>(
         &self,
         chain: &mut Chain,
+        snap: &BatchSnapshot,
         ring: &RingSet,
-        rings: &RingIndex,
-        claims: &[DiversityRequirement],
-        universe: &TokenUniverse,
-        amount: dams_blockchain::Amount,
+        amount: Amount,
         signer: &KeyPair,
         receiver: PublicKey,
         config: &dyn RingConfiguration,
         rng: &mut R,
-    ) -> Result<(), WalletError> {
+    ) -> Result<RingSet, WalletError> {
         // Definition-5 self-validation before broadcasting.
-        let verdict = validate_ring(ring, self.policy.requirement, rings, claims, universe);
+        let instance = &snap.instance;
+        let verdict = validate_ring(
+            ring,
+            self.policy.requirement,
+            &instance.rings,
+            &instance.claims,
+            &instance.universe,
+        );
         if verdict != Verdict::Eligible {
             return Err(WalletError::Validation(verdict));
         }
@@ -408,10 +302,10 @@ impl Wallet {
             memo: vec![],
         };
         let payload = shell.signing_payload();
-        let ring_ids: Vec<dams_blockchain::TokenId> = ring
+        let ring_ids: Vec<TokenId> = ring
             .tokens()
             .iter()
-            .map(|t| dams_blockchain::TokenId(t.0 as u64))
+            .map(|t| TokenId(snap.tokens[t.0 as usize]))
             .collect();
         let ring_keys: Vec<PublicKey> = ring_ids
             .iter()
@@ -419,6 +313,8 @@ impl Wallet {
             .collect::<Result<_, _>>()?;
         let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, signer, rng)
             .map_err(WalletError::Signing)?;
+        let ledger_ring =
+            RingSet::new(ring_ids.iter().map(|t| dams_diversity::TokenId(t.0 as u32)));
         let tx = Transaction {
             inputs: vec![RingInput {
                 ring: ring_ids,
@@ -431,7 +327,7 @@ impl Wallet {
         };
         chain.submit(tx, config).map_err(WalletError::Chain)?;
         chain.seal_block().map_err(WalletError::ChainState)?;
-        Ok(())
+        Ok(ledger_ring)
     }
 }
 
@@ -440,19 +336,31 @@ mod tests {
     use super::*;
     use dams_blockchain::{Amount, NoConfiguration};
     use dams_crypto::SchnorrGroup;
+    use dams_diversity::DiversityRequirement;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Mint 16 tokens (4 per coinbase) to a wallet.
     fn setup() -> (Chain, Wallet, StdRng) {
-        let mut rng = StdRng::seed_from_u64(3);
+        setup_with(3, PracticalAlgorithm::Progressive, 4, 4)
+    }
+
+    /// Mint `coinbases` × `per_coinbase` tokens to a wallet spending with
+    /// `algorithm` under policy (1.0, 3).
+    fn setup_with(
+        seed: u64,
+        algorithm: PracticalAlgorithm,
+        coinbases: usize,
+        per_coinbase: usize,
+    ) -> (Chain, Wallet, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut chain = Chain::new(SchnorrGroup::default());
         let mut wallet = Wallet::new(
             SelectionPolicy::new(DiversityRequirement::new(1.0, 3)),
-            PracticalAlgorithm::Progressive,
+            algorithm,
         );
-        for _ in 0..4 {
-            let outs: Vec<TokenOutput> = (0..4)
+        for _ in 0..coinbases {
+            let outs: Vec<TokenOutput> = (0..per_coinbase)
                 .map(|_| TokenOutput {
                     owner: wallet.new_address(&chain, &mut rng),
                     amount: Amount(5),
@@ -527,20 +435,12 @@ mod tests {
         let (mut chain, wallet, mut rng) = setup();
         let receiver = KeyPair::generate(chain.group(), &mut rng).public;
         let ring = wallet
-            .spend(
-                &mut chain,
-                dams_blockchain::TokenId(0),
-                receiver,
-                &NoConfiguration,
-                &mut rng,
-            )
+            .spend(&mut chain, TokenId(0), receiver, &NoConfiguration, &mut rng)
             .unwrap();
         assert!(ring.contains(dams_diversity::TokenId(0)));
         assert!(chain.audit());
         // The spent token no longer appears spendable.
-        assert!(!wallet
-            .spendable(&chain)
-            .contains(&dams_blockchain::TokenId(0)));
+        assert!(!wallet.spendable(&chain).contains(&TokenId(0)));
     }
 
     #[test]
@@ -548,22 +448,10 @@ mod tests {
         let (mut chain, wallet, mut rng) = setup();
         let receiver = KeyPair::generate(chain.group(), &mut rng).public;
         wallet
-            .spend(
-                &mut chain,
-                dams_blockchain::TokenId(0),
-                receiver,
-                &NoConfiguration,
-                &mut rng,
-            )
+            .spend(&mut chain, TokenId(0), receiver, &NoConfiguration, &mut rng)
             .unwrap();
         let err = wallet
-            .spend(
-                &mut chain,
-                dams_blockchain::TokenId(0),
-                receiver,
-                &NoConfiguration,
-                &mut rng,
-            )
+            .spend(&mut chain, TokenId(0), receiver, &NoConfiguration, &mut rng)
             .unwrap_err();
         // Either the selection layer (token now in a committed ring whose
         // reuse would violate validation) or the chain's image registry
@@ -584,7 +472,7 @@ mod tests {
         let ring = wallet
             .spend_with_budget(
                 &mut chain,
-                dams_blockchain::TokenId(1),
+                TokenId(1),
                 receiver,
                 &NoConfiguration,
                 1 << 20,
@@ -610,7 +498,7 @@ mod tests {
         let err = wallet
             .spend_with_budget(
                 &mut chain,
-                dams_blockchain::TokenId(1),
+                TokenId(1),
                 receiver,
                 &NoConfiguration,
                 8,
@@ -633,7 +521,7 @@ mod tests {
         );
         assert!(wallet
             .spendable(&chain)
-            .contains(&dams_blockchain::TokenId(1)));
+            .contains(&TokenId(1)));
     }
 
     #[test]
@@ -646,7 +534,7 @@ mod tests {
         let ring = wallet
             .spend_with_budget(
                 &mut chain,
-                dams_blockchain::TokenId(2),
+                TokenId(2),
                 receiver,
                 &NoConfiguration,
                 68,
@@ -663,28 +551,28 @@ mod tests {
 
     #[test]
     fn incremental_first_spend_matches_oneshot() {
-        // On an untouched chain the session's instance is identical to the
-        // decompose path's, so the same rng stream selects the same ring.
+        // On an untouched chain a fresh index serves the same view as the
+        // throwaway one inside `spend`, so the same rng stream selects the
+        // same ring.
         let (mut chain_a, wallet, mut rng_a) = setup();
         let (mut chain_b, _, _) = setup();
-        let mut rng_b = rng_a.clone();
         let receiver = KeyPair::generate(chain_a.group(), &mut rng_a).public;
-        let _ = KeyPair::generate(chain_b.group(), &mut rng_b).public;
+        let mut rng_b = rng_a.clone();
         let oneshot = wallet
             .spend(
                 &mut chain_a,
-                dams_blockchain::TokenId(0),
+                TokenId(0),
                 receiver,
                 &NoConfiguration,
                 &mut rng_a,
             )
             .unwrap();
-        let mut session = SpendSession::new();
+        let mut index = DiversityIndex::new(usize::MAX);
         let incremental = wallet
             .spend_incremental(
                 &mut chain_b,
-                &mut session,
-                dams_blockchain::TokenId(0),
+                &mut index,
+                TokenId(0),
                 receiver,
                 &NoConfiguration,
                 &mut rng_b,
@@ -694,16 +582,102 @@ mod tests {
     }
 
     #[test]
+    fn incremental_spends_select_the_same_rings_as_spend_across_seeds() {
+        // Twin chains: one spends through `spend`, the other through one
+        // long-lived index that catches up between spends. The same rng
+        // stream must pick the same ring (or fail the same way) on every
+        // spend, for every algorithm.
+        let algorithms = [
+            PracticalAlgorithm::Progressive,
+            PracticalAlgorithm::GameTheoretic,
+            PracticalAlgorithm::Smallest,
+            PracticalAlgorithm::Random,
+        ];
+        let mut matched = 0;
+        for seed in 0..16u64 {
+            for algorithm in algorithms {
+                let (mut chain_a, wallet, mut rng_a) = setup_with(seed, algorithm, 4, 4);
+                let (mut chain_b, _, _) = setup_with(seed, algorithm, 4, 4);
+                let receiver = KeyPair::generate(chain_a.group(), &mut rng_a).public;
+                let mut rng_b = rng_a.clone();
+                let mut index = DiversityIndex::new(usize::MAX);
+                for t in [0u64, 5, 10, 15, 2, 7] {
+                    let token = TokenId(t);
+                    let a =
+                        wallet.spend(&mut chain_a, token, receiver, &NoConfiguration, &mut rng_a);
+                    let b = wallet.spend_incremental(
+                        &mut chain_b,
+                        &mut index,
+                        token,
+                        receiver,
+                        &NoConfiguration,
+                        &mut rng_b,
+                    );
+                    let ctx = format!("seed {seed} {algorithm:?} token {t}");
+                    match (a, b) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a, b, "{ctx}");
+                            matched += 1;
+                        }
+                        (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}"),
+                    }
+                }
+                assert_eq!(
+                    chain_a.tip().unwrap().hash(),
+                    chain_b.tip().unwrap().hash(),
+                    "seed {seed} {algorithm:?}"
+                );
+            }
+        }
+        assert!(
+            matched >= 16 * 4 * 3,
+            "too few successful spends: {matched}"
+        );
+    }
+
+    #[test]
+    fn batched_index_keeps_rings_inside_the_target_batch() {
+        // Eight coinbases of two tokens under λ = 8: tokens 0..8 and 8..16
+        // form two closed batches of four historical transactions each.
+        let (mut chain, wallet, mut rng) = setup_with(5, PracticalAlgorithm::Progressive, 8, 2);
+        let receiver = KeyPair::generate(chain.group(), &mut rng).public;
+        let mut index = DiversityIndex::new(8);
+        for t in [1u64, 9, 14, 4] {
+            let ring = wallet
+                .spend_incremental(
+                    &mut chain,
+                    &mut index,
+                    TokenId(t),
+                    receiver,
+                    &NoConfiguration,
+                    &mut rng,
+                )
+                .unwrap();
+            let batch = index.batch_of(t).unwrap();
+            let members = index.batch_tokens(batch);
+            assert!(ring.contains(dams_diversity::TokenId(t as u32)));
+            assert!(
+                ring.tokens()
+                    .iter()
+                    .all(|m| members.contains(&(m.0 as u64))),
+                "token {t}: ring {ring:?} leaves batch {batch}"
+            );
+        }
+        assert!(chain.audit());
+        assert!(crate::auditor::audit(&chain).claim_violations.is_empty());
+    }
+
+    #[test]
     fn sequential_incremental_spends_stay_private_and_in_sync() {
         let (mut chain, wallet, mut rng) = setup();
         let receiver = KeyPair::generate(chain.group(), &mut rng).public;
-        let mut session = SpendSession::new();
+        let mut index = DiversityIndex::new(usize::MAX);
         for t in [0u64, 5, 10] {
             let ring = wallet
                 .spend_incremental(
                     &mut chain,
-                    &mut session,
-                    dams_blockchain::TokenId(t),
+                    &mut index,
+                    TokenId(t),
                     receiver,
                     &NoConfiguration,
                     &mut rng,
@@ -714,37 +688,16 @@ mod tests {
         let report = crate::auditor::audit(&chain);
         assert_eq!(report.analysis.resolved_count(), 0, "spends linkable");
         assert!(report.claim_violations.is_empty());
-        // The session's maintained partition must equal the from-scratch
-        // decomposition of the final chain (canonically, module order
-        // aside — the session appends merges, decompose sorts by ring id).
-        let mut session_check = SpendSession::new();
-        session_check.sync(&chain).unwrap();
-        let history = session_check.history().unwrap();
-        let view = chain_view(&chain);
-        let instance = dams_core::Instance::new(
-            view.universe.clone(),
-            view.rings.clone(),
-            view.claims
-                .iter()
-                .map(|&(c, l)| DiversityRequirement::new(c.max(f64::MIN_POSITIVE), l.max(1)))
-                .collect(),
-        );
-        let full = ModularInstance::decompose(&instance).unwrap();
-        let canon = |mi: &ModularInstance| {
-            let mut v: Vec<Vec<u32>> = mi
-                .modules()
-                .iter()
-                .map(|m| m.tokens.tokens().iter().map(|t| t.0).collect())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(canon(history.instance()), canon(&full));
-        assert_eq!(history.rings().len(), view.rings.len());
-        // And syncing an already-current session is a no-op.
-        let blocks = session_check.blocks_seen();
-        session_check.sync(&chain).unwrap();
-        assert_eq!(session_check.blocks_seen(), blocks);
+        // Caught up with the final chain, the index must equal the
+        // from-scratch decomposition of every block (ordered partition and
+        // subset counts included)...
+        batch_view(&chain, &mut index, TokenId(0)).unwrap();
+        let deltas: Vec<_> = chain.blocks().iter().map(block_delta).collect();
+        dams_core::recompute_equivalence(&index, &deltas).unwrap();
+        // ...and catching up an already-current index applies nothing.
+        let applied = index.stats().blocks_applied;
+        batch_view(&chain, &mut index, TokenId(0)).unwrap();
+        assert_eq!(index.stats().blocks_applied, applied);
     }
 
     #[test]
@@ -757,7 +710,7 @@ mod tests {
             amount: Amount(1),
         }]);
         chain.seal_block().unwrap();
-        let foreign = dams_blockchain::TokenId(16);
+        let foreign = TokenId(16);
         let receiver = KeyPair::generate(chain.group(), &mut rng).public;
         let err = wallet
             .spend(&mut chain, foreign, receiver, &NoConfiguration, &mut rng)
@@ -771,13 +724,7 @@ mod tests {
         let receiver = KeyPair::generate(chain.group(), &mut rng).public;
         for t in [0u64, 5, 10] {
             wallet
-                .spend(
-                    &mut chain,
-                    dams_blockchain::TokenId(t),
-                    receiver,
-                    &NoConfiguration,
-                    &mut rng,
-                )
+                .spend(&mut chain, TokenId(t), receiver, &NoConfiguration, &mut rng)
                 .unwrap();
         }
         let report = crate::auditor::audit(&chain);

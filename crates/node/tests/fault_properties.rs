@@ -127,12 +127,11 @@ fn corrupt_frame_in_flight_across_heal_is_rejected_across_seeds() {
     };
     for seed in 0..SEEDS {
         let mut cluster = Cluster::new(3, group, seed, cfg).unwrap();
-        // Slot 3 is the cluster's dormant late-joiner slot; it sits on the
-        // partitioned side with node 2, so the only copy that enters the
-        // channel is the one to node 1.
-        cluster.partition(&[2, 3]).unwrap();
-        // The announcement to node 1 is corrupted and delayed in flight;
-        // the copies for the partitioned side are suppressed at the source.
+        // Slot 3 is the cluster's dormant late-joiner slot: the copy to it
+        // enters the channel and is counted undeliverable on release.
+        cluster.partition(&[2]).unwrap();
+        // The announcements to node 1 and slot 3 are corrupted and delayed
+        // in flight; the copy to node 2 is suppressed at the source.
         cluster.mine_on(0, 1).unwrap();
         cluster.heal();
         for _ in 0..12 {
@@ -161,15 +160,16 @@ fn corrupt_frame_in_flight_across_heal_is_rejected_across_seeds() {
             "seed {seed}: fault model inert {s:?}"
         );
         assert!(s.partition_blocked >= 1, "seed {seed}: partition inert");
+        assert_eq!(s.undeliverable, 1, "seed {seed}: dormant-slot copy {s:?}");
         assert!(
             s.decode_rejected + discarded >= 1,
             "seed {seed}: corrupt frame rejected nowhere {s:?}"
         );
         // Every sent copy is accounted for: delivered to an inbox,
-        // refused at decode, or refused by a full inbox — none vanish
-        // across the heal boundary.
+        // refused at decode, refused by a full inbox, or addressed to a
+        // slot with no replica — none vanish across the heal boundary.
         assert_eq!(
-            s.delivered + s.decode_rejected + s.inbox_rejected,
+            s.delivered + s.decode_rejected + s.inbox_rejected + s.undeliverable,
             s.sent,
             "seed {seed}: accounting leak {s:?}"
         );

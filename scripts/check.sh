@@ -43,11 +43,34 @@ cargo run --release -q -p dams-bench --bin dams-cli -- --faults 42 --metrics jso
 cmp "$tmpdir/a.json" "$tmpdir/b.json"
 echo "deterministic snapshots identical"
 
+echo "== golden artifacts =="
+# Every deterministic seed-42 artifact checked in at the repo root must
+# regenerate byte-identically. This runs before any step below rewrites
+# a root artifact. BENCH_selection.json and BENCH_soak.json carry
+# wall-clock fields and stay out of the gate.
+cli() { cargo run --release -q -p dams-bench --bin dams-cli -- "$@"; }
+golden="$tmpdir/golden"
+mkdir -p "$golden"
+cli serve-sim --seed 42 --out "$golden/BENCH_overload.json" > /dev/null
+cli cluster-sim --node-counts 1,3,5 --seed 42 \
+  --out "$golden/BENCH_cluster.json" --report "$golden/CLUSTER_report.txt" > /dev/null
+cli cluster-sim --byzantine --honest 4 --max-f 3 --seed 42 \
+  --out "$golden/BENCH_byzantine.json" --report "$golden/BYZ_report.txt" > /dev/null
+cli serve --real --loads 1,2,4 --seed 42 \
+  --out "$golden/BENCH_runtime.json" --diff-report "$golden/DIFF_report.txt" > /dev/null
+cli bench --anonymity --seed 42 \
+  --out "$golden/BENCH_anonymity.json" --report "$golden/ANON_report.txt" > /dev/null
+for f in BENCH_overload.json BENCH_cluster.json BENCH_byzantine.json \
+  BENCH_runtime.json BENCH_anonymity.json BYZ_report.txt DIFF_report.txt \
+  ANON_report.txt; do
+  cmp "$golden/$f" "$f"
+done
+echo "8 seed-42 artifacts byte-identical to the checked-in copies"
+
 echo "== crash recovery =="
 # Durable-store gate: a scripted mid-record power loss must recover CLEAN,
 # the crashed WAL must be a byte-identical prefix of an uninterrupted run,
 # and a flipped byte in a committed record must fail recovery loudly.
-cli() { cargo run --release -q -p dams-bench --bin dams-cli -- "$@"; }
 crashdir="$tmpdir/store-crash" refdir="$tmpdir/store-ref"
 set +e
 cli run --store-dir "$crashdir" --blocks 8 --seed 42 --crash-after-appends 5 \

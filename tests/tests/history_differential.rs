@@ -1,6 +1,7 @@
 //! Differential testing: the incremental `ModularHistory` must agree with
 //! full re-decomposition after every commit, across random spend sequences
-//! and universes — the invariant that lets wallets skip the O(n²) rebuild.
+//! and universes — the invariant that lets the workload simulators skip the
+//! O(n²) rebuild.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,7 +68,7 @@ proptest! {
                     .expect("same partition");
                 prop_assert_eq!(
                     full.subset_count(full_mod.id),
-                    history.subset_count(m.id),
+                    history.instance().subset_count(m.id),
                     "v mismatch for module {:?}", m.id
                 );
             }
