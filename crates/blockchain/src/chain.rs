@@ -483,8 +483,14 @@ mod tests {
 
     /// Build a valid spend of `spend_idx` over ring token ids `ring`.
     fn spend(h: &mut Harness, ring: Vec<TokenId>, spend_idx: usize) -> Transaction {
+        spend_inputs(h, &[(ring, spend_idx)])
+    }
+
+    /// Build a valid transaction with one input per `(ring, spend_idx)`,
+    /// each input signed on its own over the shared signing payload.
+    fn spend_inputs(h: &mut Harness, spends: &[(Vec<TokenId>, usize)]) -> Transaction {
         let outputs = vec![TokenOutput {
-            owner: h.keys[spend_idx].public,
+            owner: h.keys[spends[0].1].public,
             amount: Amount(10),
         }];
         let tx_shell = Transaction {
@@ -493,25 +499,29 @@ mod tests {
             memo: vec![],
         };
         let payload = tx_shell.signing_payload();
-        let ring_keys: Vec<_> = ring
-            .iter()
-            .map(|t| h.chain.token(*t).unwrap().owner)
-            .collect();
-        let sig = dams_crypto::sign(
-            h.chain.group(),
-            &payload,
-            &ring_keys,
-            &h.keys[spend_idx],
-            &mut h.rng,
-        )
-        .unwrap();
-        Transaction {
-            inputs: vec![RingInput {
-                ring,
+        let mut inputs = Vec::with_capacity(spends.len());
+        for (ring, spend_idx) in spends {
+            let ring_keys: Vec<_> = ring
+                .iter()
+                .map(|t| h.chain.token(*t).unwrap().owner)
+                .collect();
+            let sig = dams_crypto::sign(
+                h.chain.group(),
+                &payload,
+                &ring_keys,
+                &h.keys[*spend_idx],
+                &mut h.rng,
+            )
+            .unwrap();
+            inputs.push(RingInput {
+                ring: ring.clone(),
                 signature: sig,
                 claimed_c: 0.6,
                 claimed_l: 2,
-            }],
+            });
+        }
+        Transaction {
+            inputs,
             outputs,
             memo: vec![],
         }
@@ -536,6 +546,41 @@ mod tests {
         h.chain.submit(tx1, &NoConfiguration).unwrap();
         let err = h.chain.submit(tx2, &NoConfiguration).unwrap_err();
         assert!(matches!(err, VerifyError::ImageReused(_)), "{err:?}");
+    }
+
+    #[test]
+    fn multi_input_transaction_consumes_one_image_per_input() {
+        let mut h = harness(6);
+        let tx = spend_inputs(
+            &mut h,
+            &[
+                (vec![TokenId(0), TokenId(1), TokenId(2)], 1),
+                (vec![TokenId(3), TokenId(4), TokenId(5)], 4),
+            ],
+        );
+        let images: Vec<KeyImage> = tx.inputs.iter().map(RingInput::key_image).collect();
+        assert_ne!(images[0], images[1]);
+        h.chain.submit(tx, &NoConfiguration).unwrap();
+        h.chain.seal_block().unwrap();
+        assert_eq!(h.chain.tip().unwrap().transactions[0].tx.inputs.len(), 2);
+        assert!(images.iter().all(|&i| h.chain.image_consumed(i)));
+        assert!(h.chain.audit());
+
+        // A later spend of the second input's token reuses its image.
+        let reuse = spend(&mut h, vec![TokenId(4), TokenId(5)], 4);
+        assert_eq!(
+            h.chain.submit(reuse, &NoConfiguration),
+            Err(VerifyError::ImageReused(images[1].value()))
+        );
+
+        // One input carried twice in one transaction.
+        let mut twice = spend(&mut h, vec![TokenId(0), TokenId(2)], 0);
+        twice.inputs.push(twice.inputs[0].clone());
+        let image = twice.inputs[0].key_image().value();
+        assert_eq!(
+            h.chain.submit(twice, &NoConfiguration),
+            Err(VerifyError::DuplicateImageInTx(image))
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! TokenMagic batch list (§4) that bounds every token's mixin universe.
 
 pub mod batch;
-pub mod confidential;
 pub mod obs;
 pub mod fees;
 pub mod block;
@@ -17,7 +16,6 @@ pub mod transaction;
 pub mod types;
 
 pub use batch::{Batch, BatchList};
-pub use confidential::{ConfidentialError, ConfidentialLedger, ConfidentialOutput, ConfidentialSpend};
 pub use block::{Block, BlockHeader};
 pub use chain::{Chain, ChainError, NoConfiguration, RingConfiguration, TokenRecord, VerifyError};
 pub use codec::{

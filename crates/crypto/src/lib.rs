@@ -3,8 +3,10 @@
 //! Cryptographic substrate for the DA-MS (diversity-aware mixin selection)
 //! reproduction: a from-scratch SHA-256, deterministic Miller–Rabin
 //! primality testing, a safe-prime Schnorr group, key pairs with key images,
-//! and a bLSAG-style **linkable ring signature** implementing Steps 2 and 3
-//! of the ring-signature scheme described in §2.1 of the paper.
+//! HD key derivation, and a bLSAG-style **linkable ring signature**
+//! implementing Steps 2 and 3 of the ring-signature scheme described in
+//! §2.1 of the paper. bLSAG is the only ring-signature scheme: a
+//! multi-input transaction carries one bLSAG per input.
 //!
 //! The paper's contribution changes only *Step 1* (mixin selection); this
 //! crate exists so the rest of the pipeline — sign, verify, reject reused
@@ -16,10 +18,7 @@ pub mod blsag;
 pub mod group;
 pub mod hd;
 pub mod keys;
-pub mod mlsag;
-pub mod pedersen;
 pub mod prime;
-pub mod range_proof;
 pub mod sha256;
 
 pub use blsag::{linked, sign, verify, verify_batch, BatchItem, BatchVerifier, RingSignature, SignError};
@@ -27,6 +26,3 @@ pub use group::{Element, FixedBaseTable, Scalar, SchnorrGroup};
 pub use prime::FixedBaseWindow;
 pub use hd::KeyChain;
 pub use keys::{KeyImage, KeyPair, PublicKey, SecretKey};
-pub use mlsag::{sign_mlsag, verify_mlsag, MlsagError, MlsagSignature};
-pub use pedersen::{Commitment, Opening, PedersenParams};
-pub use range_proof::{prove_range, verify_range, BitProof, RangeProof};

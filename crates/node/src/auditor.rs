@@ -8,11 +8,9 @@
 //! that what the wallet *intended* (a diverse, unresolvable ring) is what
 //! the public record actually *shows*.
 
-use std::collections::HashMap;
-
-use dams_blockchain::{Chain, TxId};
+use dams_blockchain::Chain;
 use dams_diversity::{
-    analyze, batch_anonymity, Analysis, BatchAnonymity, HtId, RingIndex, RingSet, TokenUniverse,
+    analyze, batch_anonymity, Analysis, BatchAnonymity, RingIndex, RingSet, TokenUniverse,
 };
 
 /// The algorithmic view reconstructed from a chain.
@@ -28,26 +26,7 @@ pub struct ChainView {
 /// Build the view from a chain: HT = origin transaction, rings = all ring
 /// inputs of all committed transactions.
 pub fn chain_view(chain: &Chain) -> ChainView {
-    // HT labels: dense renumbering of origin TxIds.
-    let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
-    let n = chain.token_count();
-    let mut ht_of = Vec::with_capacity(n);
-    let mut synthetic = 0u32;
-    for i in 0..n as u64 {
-        let next = ht_ids.len() as u32 + synthetic;
-        let id = match chain.token(dams_blockchain::TokenId(i)) {
-            Some(rec) => *ht_ids.entry(rec.origin).or_insert(next),
-            // Unreachable for a well-formed chain (token ids are dense);
-            // a missing record gets a fresh singleton HT label instead of
-            // panicking the auditor.
-            None => {
-                synthetic += 1;
-                next
-            }
-        };
-        ht_of.push(HtId(id));
-    }
-    let universe = TokenUniverse::new(ht_of);
+    let universe = dams_store::token_universe(chain);
 
     let mut rings = RingIndex::new();
     let mut claims = Vec::new();

@@ -43,10 +43,10 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain, TxId};
+use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain};
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, PublicKey, RingSignature, SchnorrGroup};
-use dams_diversity::{DiversityRequirement, HtId, RingSet, TokenUniverse};
+use dams_diversity::{DiversityRequirement, RingSet};
 
 use crate::obs::NodeMetrics;
 
@@ -348,12 +348,11 @@ impl EquivocationProof {
 
 /// Re-verify the claimed (c, ℓ)-diversity of every RS carried by `block`
 /// against the receiver's own ledger — the per-block, adoption-time twin
-/// of [`dams_store::recheck_immutability`]. The HT of a token is its
-/// origin transaction (the auditor's reconstruction); claims with
-/// `ℓ < 1` or `c ≤ 0` assert nothing and are skipped, as are rings
-/// naming tokens the receiver has not seen (structural verification
-/// rejects those anyway). Returns the height of the offending block on
-/// the first violated claim.
+/// of [`dams_store::recheck_immutability`], over the same
+/// [`dams_store::token_universe`]. Claims with `ℓ < 1` or `c ≤ 0` assert
+/// nothing and are skipped, as are rings naming tokens the receiver has
+/// not seen (structural verification rejects those anyway). Returns the
+/// height of the offending block on the first violated claim.
 pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> {
     if block
         .transactions
@@ -362,17 +361,7 @@ pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> 
     {
         return Ok(());
     }
-    let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
-    let mut ht_of = Vec::with_capacity(chain.token_count());
-    for i in 0..chain.token_count() as u64 {
-        let next = ht_ids.len() as u32;
-        let id = match chain.token(dams_blockchain::TokenId(i)) {
-            Some(rec) => *ht_ids.entry(rec.origin).or_insert(next),
-            None => next,
-        };
-        ht_of.push(HtId(id));
-    }
-    let universe = TokenUniverse::new(ht_of);
+    let universe = dams_store::token_universe(chain);
     for ct in &block.transactions {
         for input in &ct.tx.inputs {
             if input.claimed_l < 1 || input.claimed_c <= 0.0 {

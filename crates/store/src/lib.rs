@@ -32,7 +32,7 @@ pub use error::StoreError;
 pub use faults::StorageFault;
 pub use obs::StoreMetrics;
 pub use store::{
-    group_fingerprint, recheck_immutability, CatchUpBundle, ImmutabilityCheck, Recovered,
-    RecoveryReport, Store, StoreConfig,
+    group_fingerprint, recheck_immutability, token_universe, CatchUpBundle, ImmutabilityCheck,
+    Recovered, RecoveryReport, Store, StoreConfig,
 };
 pub use wal::{ScanOutcome, TailStatus};

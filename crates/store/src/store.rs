@@ -654,22 +654,27 @@ pub struct ImmutabilityCheck {
     pub violations: Vec<(u64, u64)>,
 }
 
-/// Re-verify every committed RS's claimed (c, ℓ)-diversity against the
-/// recovered ledger (HT of a token = its origin transaction, exactly the
-/// auditor's reconstruction). Claims with `ℓ = 0` or `c ≤ 0` assert
-/// nothing and are skipped, mirroring the audit path.
-pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
+/// The algorithmic universe of a ledger: the HT of token `i` is the
+/// transaction that minted it, with origin transactions renumbered
+/// densely in first-seen order. Every reader that audits committed rings
+/// (recovery, adoption-time rechecks, the auditor) builds it here.
+pub fn token_universe(chain: &Chain) -> TokenUniverse {
     let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
-    let mut ht_of = Vec::with_capacity(chain.token_count());
-    for i in 0..chain.token_count() as u64 {
-        let next = ht_ids.len() as u32;
-        let id = match chain.token(dams_blockchain::TokenId(i)) {
-            Some(rec) => *ht_ids.entry(rec.origin).or_insert(next),
-            None => next,
-        };
-        ht_of.push(HtId(id));
-    }
-    let universe = TokenUniverse::new(ht_of);
+    let ht_of = (0..chain.token_count() as u64)
+        .map_while(|i| chain.token(dams_blockchain::TokenId(i)))
+        .map(|rec| {
+            let next = ht_ids.len() as u32;
+            HtId(*ht_ids.entry(rec.origin).or_insert(next))
+        })
+        .collect();
+    TokenUniverse::new(ht_of)
+}
+
+/// Re-verify every committed RS's claimed (c, ℓ)-diversity against the
+/// recovered ledger's [`token_universe`]. Claims with `ℓ = 0` or `c ≤ 0`
+/// assert nothing and are skipped, mirroring the audit path.
+pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
+    let universe = token_universe(chain);
 
     let mut check = ImmutabilityCheck::default();
     let mut ring_index = 0u64;

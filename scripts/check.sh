@@ -24,7 +24,7 @@ echo "== docs =="
 cargo doc --workspace --no-deps
 
 echo "== examples =="
-for ex in quickstart adversary evoting healthcare fee_saver storage_sharing; do
+for ex in quickstart adversary evoting healthcare fee_saver storage_sharing multi_input; do
   cargo run --release -q -p dams-bench --example "$ex" > /dev/null
   echo "example $ex ok"
 done

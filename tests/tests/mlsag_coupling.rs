@@ -1,40 +1,15 @@
-//! Multi-input coupling: an MLSAG transaction reveals that its m inputs
-//! are spent by the *same* ring slot. At the analysis layer this aligns
-//! the per-input rings — once side information resolves one layer, every
-//! layer of that transaction collapses. The DA-MS answer is to make each
-//! layer's ring independently diverse.
+//! Multi-input coupling at the analysis layer. A matrix ring signature
+//! (MLSAG-style) would reveal that a transaction's m inputs are spent by
+//! the *same* ring slot, aligning the per-input rings: once side
+//! information resolves one layer, every layer collapses. The chain signs
+//! each `RingInput` with its own bLSAG, so no signature aligns the slots,
+//! but the same cascade follows from any side information that links the
+//! inputs. Either way, each input's ring has to be DA-MS-diverse on its
+//! own.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use dams_crypto::{sign_mlsag, verify_mlsag, KeyPair, SchnorrGroup};
 use dams_diversity::{
     analyze, RingIndex, RingSet, RsId, TokenId, TokenRsPair,
 };
-
-#[test]
-fn mlsag_transaction_end_to_end() {
-    // A 4-slot, 2-layer spend: matrix[slot][layer].
-    let grp = SchnorrGroup::default();
-    let mut rng = StdRng::seed_from_u64(1);
-    let signers: Vec<KeyPair> = (0..2).map(|_| KeyPair::generate(&grp, &mut rng)).collect();
-    let matrix: Vec<Vec<_>> = (0..4)
-        .map(|slot| {
-            (0..2)
-                .map(|layer| {
-                    if slot == 2 {
-                        signers[layer].public
-                    } else {
-                        KeyPair::generate(&grp, &mut rng).public
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let sig = sign_mlsag(&grp, b"2-input tx", &matrix, &signers, &mut rng).unwrap();
-    assert!(verify_mlsag(&grp, b"2-input tx", &matrix, &sig));
-    assert_eq!(sig.key_images.len(), 2, "one image per spent input");
-}
 
 #[test]
 fn slot_coupling_cascades_under_side_information() {
