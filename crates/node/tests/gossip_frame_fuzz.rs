@@ -2,10 +2,11 @@
 //! one codec — block, tip, range, evidence (equivocation proof),
 //! refusal, and the checkpoint catch-up bundle.
 //!
-//! Golden vectors prove clean frames round-trip through [`decode_frame`];
-//! then 64 seeded bit-flips and 64 seeded truncations per kind prove a
-//! mutated frame is either rejected with a typed [`NodeError`] or — in
-//! the one legal survivor case, a flip inside a signature of a block
+//! Golden vectors prove clean frames round-trip through [`decode_frame`]
+//! and golden SHA-256 digests pin every frame's exact bytes; then 64
+//! seeded bit-flips and 64 seeded truncations per kind prove a mutated
+//! frame is either rejected with a typed [`NodeError`] or — in the one
+//! legal survivor case, a flip inside a signature of a block
 //! frame — decodes to a frame whose attestation no longer verifies
 //! against the identity directory. Never a panic, never a silent
 //! acceptance: this is the wire half of the Byzantine-defense argument
@@ -19,6 +20,7 @@ use dams_node::{
     NodeLimits, SimNode,
 };
 use dams_blockchain::{Amount, Chain, TokenOutput};
+use dams_crypto::sha256::sha256;
 use dams_crypto::{KeyPair, PublicKey, SchnorrGroup};
 use dams_store::{MemBackend, Store, StoreConfig};
 use rand::rngs::StdRng;
@@ -102,6 +104,35 @@ fn golden_vectors_roundtrip_every_kind() {
             (name, other) => panic!("golden {name} decoded as wrong kind: {other:?}"),
         }
     }
+}
+
+fn sha256_hex(bytes: &[u8]) -> String {
+    sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Pins the exact bytes of every fixture frame and of the catch-up
+/// bundle (all deterministic from their seeds): a codec change that
+/// alters a single byte on the gossip wire fails here.
+#[test]
+fn golden_digests_pin_every_frame_byte() {
+    let golden = [
+        ("block", "89d156a0d1846d1cc30dd7e1554aa71ed3aefb46c5e9e7c8c2bb848bfa7bd53f"),
+        ("tip", "450a551087e2d6cd58d9514da8944f535357d422bf6e7f88f09fd50cb30fa401"),
+        ("range", "a9d1bd6f55f538711603550d5919d6ae65643a1ab511f45acd6ff64cf3f1b12f"),
+        ("evidence", "bbdab322a4ea0665efc45f01ccd3813a636a93802c2e7141c5ab4f78a0510632"),
+        ("refusal", "1373d8e6d2f84958e26a83c56820f7c2fe5c40f330d2ec07f2eb21c6556e4ff6"),
+    ];
+    let fx = fixture();
+    assert_eq!(fx.frames.len(), golden.len());
+    for ((name, bytes), (want_name, want)) in fx.frames.iter().zip(golden) {
+        assert_eq!(*name, want_name);
+        assert_eq!(sha256_hex(bytes), want, "{name} frame bytes drifted");
+    }
+    assert_eq!(
+        sha256_hex(&bundle_frame(SchnorrGroup::default())),
+        "d8bb39ce22bbe4563269b66bf1d036beb3603cbac7c29c1d978b43f4c9b2874b",
+        "bundle frame bytes drifted"
+    );
 }
 
 #[test]
