@@ -1,8 +1,13 @@
-//! Wire formats: deterministic byte encodings for the types nodes gossip
-//! (ring signatures, transactions, blocks), with strict, length-checked
-//! decoding. Hand-rolled little-endian framing — no serialization crate,
-//! no reflection, every byte accounted for.
+//! The one wire codec: deterministic byte encodings for the types nodes
+//! gossip, the bounds-checked [`Reader`] every decoder parses with, and
+//! the frame envelope `kind ‖ sha256(payload) ‖ payload` ([`seal_frame`],
+//! [`open_frame`]) that gossip frames, catch-up bundles (`dams-node`) and
+//! service wire frames (`dams-svc`) all travel in. Hand-rolled
+//! little-endian framing — no serialization crate, no reflection, every
+//! byte accounted for; decoders turn malformed input into a typed
+//! [`CodecError`], never a panic.
 
+use dams_crypto::sha256::sha256;
 use dams_crypto::{KeyImage, PublicKey, RingSignature, SchnorrGroup};
 
 use crate::block::{Block, BlockHeader};
@@ -38,24 +43,84 @@ impl std::error::Error for CodecError {}
 /// Maximum list length accepted by the decoder (anti-DoS bound).
 const MAX_LEN: u64 = 1 << 20;
 
-/// A little-endian byte reader with bounds checking.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Bytes of envelope before the payload: the kind byte and the digest.
+pub const FRAME_OVERHEAD: usize = 33;
+
+/// Seal `payload` in the envelope `kind ‖ sha256(payload) ‖ payload`.
+pub fn seal_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    seal_frame_into(&mut out, kind, payload);
+    out
+}
+
+/// Append the envelope of [`seal_frame`] to `out`, so a transport that
+/// prefixes its frames builds one without copying the envelope.
+#[inline]
+pub fn seal_frame_into(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    out.push(kind);
+    out.extend_from_slice(&sha256(payload));
+    out.extend_from_slice(payload);
+}
+
+/// Open an envelope built by [`seal_frame`]: `(kind, payload)`, or
+/// `None` when `frame` is shorter than the envelope or the payload does
+/// not hash to the digest. The kind is returned unjudged.
+#[inline]
+pub fn open_frame(frame: &[u8]) -> Option<(u8, &[u8])> {
+    let (&kind, rest) = frame.split_first()?;
+    let (digest, payload) = rest.split_first_chunk()?;
+    (sha256(payload) == *digest).then_some((kind, payload))
+}
+
+/// A little-endian byte reader with bounds checking: every read past the
+/// end is [`CodecError::Truncated`], never a panic.
+pub struct Reader<'a> {
+    /// The bytes not yet read.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { rest: buf }
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let end = self.pos.checked_add(8).ok_or(CodecError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    /// The next `n` bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (head, tail) = self.rest.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.rest = tail;
+        Ok(head)
     }
 
+    /// The next `N` bytes as an array (digests, fixed-width fields).
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, tail) = self.rest.split_first_chunk().ok_or(CodecError::Truncated)?;
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        self.array().map(|[b]| b)
+    }
+
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `u64` list length, bounded against hostile prefixes.
     fn len(&mut self) -> Result<usize, CodecError> {
         let n = self.u64()?;
         if n > MAX_LEN {
@@ -64,24 +129,32 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(bytes)
+    /// Everything not yet read.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
     }
 
-    fn digest(&mut self) -> Result<[u8; 32], CodecError> {
-        Ok(self.bytes(32)?.try_into().expect("32 bytes"))
-    }
-
-    fn finish(self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes(self.buf.len() - self.pos))
+    /// Require that every byte was read.
+    #[inline]
+    pub fn finish(self) -> Result<(), CodecError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(CodecError::TrailingBytes(n)),
         }
     }
+}
+
+/// Parse all of `buf` with `parse`; bytes left over are
+/// [`CodecError::TrailingBytes`].
+pub fn parse_exact<'a, T>(
+    buf: &'a [u8],
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut r = Reader::new(buf);
+    let value = parse(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Validate-and-wrap a raw residue as a public key.
@@ -134,10 +207,7 @@ pub fn signature_from_bytes(
     group: &SchnorrGroup,
     buf: &[u8],
 ) -> Result<RingSignature, CodecError> {
-    let mut r = Reader::new(buf);
-    let sig = decode_signature(group, &mut r)?;
-    r.finish()?;
-    Ok(sig)
+    parse_exact(buf, |r| decode_signature(group, r))
 }
 
 // --- transactions ---
@@ -173,7 +243,7 @@ fn decode_transaction(group: &SchnorrGroup, r: &mut Reader) -> Result<Transactio
             ring.push(TokenId(r.u64()?));
         }
         let signature = decode_signature(group, r)?;
-        let claimed_c = f64::from_le_bytes(r.bytes(8)?.try_into().expect("8 bytes"));
+        let claimed_c = f64::from_le_bytes(r.array()?);
         let claimed_l = r.u64()? as usize;
         inputs.push(RingInput {
             ring,
@@ -221,8 +291,8 @@ pub fn encode_block(block: &Block, out: &mut Vec<u8>) {
 pub fn decode_block(group: &SchnorrGroup, buf: &[u8]) -> Result<Block, CodecError> {
     let mut r = Reader::new(buf);
     let height = BlockHeight(r.u64()?);
-    let prev_hash = r.digest()?;
-    let content_hash = r.digest()?;
+    let prev_hash = r.array()?;
+    let content_hash = r.array()?;
     let timestamp = r.u64()?;
     let n_tx = r.len()?;
     let mut transactions = Vec::with_capacity(n_tx);
@@ -315,6 +385,94 @@ mod tests {
             .unwrap();
         chain.seal_block().unwrap();
         (group, chain.blocks().to_vec())
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Envelopes whose bytes are also pinned, behind their length prefix,
+    /// by the service wire's golden vectors (HELLO and SHUTDOWN).
+    fn golden_frames() -> [(u8, Vec<u8>, &'static str); 2] {
+        [
+            (
+                1,
+                7u64.to_le_bytes().to_vec(),
+                "01aae89fc0f03e2959ae4d701a80cc3915918c950b159f6abb6c92c1433b1a8534\
+                 0700000000000000",
+            ),
+            (
+                4,
+                Vec::new(),
+                "04e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+        ]
+    }
+
+    #[test]
+    fn envelope_golden_vectors_seal_and_open() {
+        for (kind, payload, golden) in golden_frames() {
+            let frame = seal_frame(kind, &payload);
+            assert_eq!(hex(&frame), golden, "kind {kind}");
+            assert_eq!(open_frame(&frame), Some((kind, payload.as_slice())));
+        }
+    }
+
+    #[test]
+    fn envelope_bit_flips_fail_authentication_outside_the_kind_byte() {
+        for (kind, payload, _) in golden_frames() {
+            let clean = seal_frame(kind, &payload);
+            for idx in 0..clean.len() {
+                for bit in 0..8 {
+                    let mut bytes = clean.clone();
+                    bytes[idx] ^= 1 << bit;
+                    let opened = open_frame(&bytes);
+                    if idx == 0 {
+                        // The kind byte is outside the digest: the payload
+                        // still authenticates and the protocol judges the
+                        // kind.
+                        assert_eq!(opened, Some((kind ^ (1 << bit), payload.as_slice())));
+                    } else {
+                        assert_eq!(opened, None, "kind {kind}: bit {bit} of byte {idx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_truncations_and_extensions_fail_authentication() {
+        for (kind, payload, _) in golden_frames() {
+            let clean = seal_frame(kind, &payload);
+            for cut in 0..clean.len() {
+                assert_eq!(open_frame(&clean[..cut]), None, "kind {kind}: cut at {cut}");
+            }
+            let mut longer = clean.clone();
+            longer.push(0);
+            assert_eq!(open_frame(&longer), None, "kind {kind}: extended");
+        }
+    }
+
+    #[test]
+    fn reader_reads_little_endian_and_reports_typed_errors() {
+        let buf = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8(), Ok(1));
+        assert_eq!(r.u16(), Ok(0x0302));
+        assert_eq!(r.u32(), Ok(0x0706_0504));
+        assert_eq!(r.u64(), Err(CodecError::Truncated));
+        assert_eq!(r.array::<2>(), Ok([8, 9]));
+        assert_eq!(r.rest(), &buf[9..]);
+        assert_eq!(r.u8(), Err(CodecError::Truncated));
+        r.finish().unwrap();
+        assert_eq!(
+            parse_exact(&buf, |r| r.u64()),
+            Err(CodecError::TrailingBytes(6))
+        );
+        assert_eq!(
+            parse_exact(&buf[..8], |r| r.u64()),
+            Ok(0x0807_0605_0403_0201)
+        );
     }
 
     #[test]

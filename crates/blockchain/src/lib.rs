@@ -19,8 +19,8 @@ pub use batch::{Batch, BatchList};
 pub use block::{Block, BlockHeader};
 pub use chain::{Chain, ChainError, NoConfiguration, RingConfiguration, TokenRecord, VerifyError};
 pub use codec::{
-    block_to_bytes, decode_block, signature_from_bytes, signature_to_bytes,
-    transaction_to_bytes, CodecError,
+    block_to_bytes, decode_block, open_frame, parse_exact, seal_frame, signature_from_bytes,
+    signature_to_bytes, transaction_to_bytes, CodecError, Reader,
 };
 pub use fees::{select_for_block, FeeSchedule};
 pub use obs::ChainMetrics;

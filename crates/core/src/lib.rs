@@ -58,7 +58,6 @@ pub mod history;
 pub mod index;
 pub mod instance;
 pub mod obs;
-pub mod parallel;
 pub mod progressive;
 pub mod ratio;
 pub mod selection;
@@ -87,7 +86,6 @@ pub use index::{
 };
 pub use instance::{DecomposeError, Instance, ModularInstance, Module, ModuleId, ModuleKind};
 pub use obs::CoreMetrics;
-pub use parallel::generate_parallel;
 pub use progressive::progressive;
 pub use ratio::{optimal_modular, RatioParams};
 pub use selection::{Algorithm, SelectError, Selection, SelectionStats};

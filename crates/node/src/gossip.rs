@@ -6,8 +6,11 @@
 //! [`crate::adversary`] actors — all exchanging typed frames through one
 //! [`FaultChannel`], so every drop, duplicate, delay, reorder, byte-flip,
 //! and partition decision the gossip traffic suffers replays exactly from
-//! a single `u64` seed. Five frame kinds, each self-authenticating, all
-//! decoded by the panic-free [`decode_frame`]:
+//! a single `u64` seed. Five frame kinds, each sealed in the one frame
+//! envelope of `dams-blockchain`'s codec ([`seal_frame`] builds
+//! `kind ‖ sha256(payload) ‖ payload`, [`open_frame`] checks it) and
+//! parsed with its bounds-checked [`Reader`], all decoded by the
+//! panic-free [`decode_frame`]:
 //!
 //! * **Block** — `kind ‖ sha256 ‖ (attestation ‖ block)`, the push half.
 //!   The [`Attestation`] is the sender's signed claim over the block's
@@ -30,7 +33,8 @@
 //!   typed answer to an oversized range request.
 //!
 //! The checkpoint catch-up bundle of [`crate::sync`] is a sixth kind,
-//! [`KIND_BUNDLE`], over the same `kind ‖ sha256 ‖ payload` codec.
+//! [`KIND_BUNDLE`], in the same envelope — as are the service wire's
+//! frames (`dams-svc`), behind a length prefix.
 //!
 //! Every live replica runs a [`PeerDefense`] in front of its inbox:
 //! token-bucket rate limits per frame kind, severity-weighted misbehavior
@@ -49,9 +53,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_blockchain::{
-    block_to_bytes, decode_block, Amount, BatchList, Block, CodecError, TokenOutput,
+    block_to_bytes, decode_block, open_frame, parse_exact, seal_frame, Amount, BatchList, Block,
+    CodecError, Reader, TokenOutput,
 };
-use dams_crypto::sha256::{sha256, Digest};
+use dams_crypto::sha256::Digest;
 use dams_crypto::{KeyPair, PublicKey, SchnorrGroup};
 use dams_store::{ImmutabilityCheck, MemBackend, RecoveryReport, Store, StoreConfig};
 
@@ -75,35 +80,11 @@ pub const KIND_REFUSAL: u8 = 5;
 /// peer-to-peer outside the gossip stream, so [`decode_frame`] refuses it.
 pub const KIND_BUNDLE: u8 = 6;
 
-/// Checked little-endian u64 read (the wire is hostile; never index).
-fn u64le(bytes: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?))
-}
-
-/// The node layer's one frame codec: `kind ‖ sha256(payload) ‖ payload`.
-pub(crate) fn frame_typed(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(33 + payload.len());
-    out.push(kind);
-    out.extend_from_slice(&sha256(payload));
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Strip and check the digest of a typed frame body; `None` on any
-/// length or digest mismatch.
-pub(crate) fn authenticate(rest: &[u8]) -> Option<&[u8]> {
-    if rest.len() < 32 {
-        return None;
-    }
-    let (digest, payload) = rest.split_at(32);
-    (sha256(payload).as_slice() == digest).then_some(payload)
-}
-
 /// Frame a block announcement under the sender's attestation.
 pub fn frame_attested_block(attestation: &Attestation, block: &Block) -> Vec<u8> {
     let mut payload = attestation.to_bytes();
     payload.extend_from_slice(&block_to_bytes(block));
-    frame_typed(KIND_BLOCK, &payload)
+    seal_frame(KIND_BLOCK, &payload)
 }
 
 pub fn frame_tip(sender: usize, height: u64, tip: Digest) -> Vec<u8> {
@@ -111,7 +92,7 @@ pub fn frame_tip(sender: usize, height: u64, tip: Digest) -> Vec<u8> {
     payload.extend_from_slice(&(sender as u64).to_le_bytes());
     payload.extend_from_slice(&height.to_le_bytes());
     payload.extend_from_slice(&tip);
-    frame_typed(KIND_TIP, &payload)
+    seal_frame(KIND_TIP, &payload)
 }
 
 pub fn frame_range(requester: usize, from: u64, to: u64) -> Vec<u8> {
@@ -119,11 +100,11 @@ pub fn frame_range(requester: usize, from: u64, to: u64) -> Vec<u8> {
     payload.extend_from_slice(&(requester as u64).to_le_bytes());
     payload.extend_from_slice(&from.to_le_bytes());
     payload.extend_from_slice(&to.to_le_bytes());
-    frame_typed(KIND_RANGE, &payload)
+    seal_frame(KIND_RANGE, &payload)
 }
 
 pub fn frame_evidence(proof: &EquivocationProof) -> Vec<u8> {
-    frame_typed(KIND_EVIDENCE, &proof.to_bytes())
+    seal_frame(KIND_EVIDENCE, &proof.to_bytes())
 }
 
 pub fn frame_refusal(server: usize, requested: u64, cap: u64) -> Vec<u8> {
@@ -131,7 +112,7 @@ pub fn frame_refusal(server: usize, requested: u64, cap: u64) -> Vec<u8> {
     payload.extend_from_slice(&(server as u64).to_le_bytes());
     payload.extend_from_slice(&requested.to_le_bytes());
     payload.extend_from_slice(&cap.to_le_bytes());
-    frame_typed(KIND_REFUSAL, &payload)
+    seal_frame(KIND_REFUSAL, &payload)
 }
 
 /// A decoded gossip frame. The decoder is total: any byte string maps to
@@ -162,21 +143,23 @@ pub enum GossipFrame {
 }
 
 /// Decode and authenticate one gossip frame. Structural errors surface
-/// as [`NodeError::Codec`]; a block frame whose attestation does not
-/// cover the carried block is `InvalidElement` (an attestation for one
-/// block stapled to another is an attack, not noise).
+/// as [`NodeError::Codec`]; a failed digest, an unknown kind, a
+/// malformed equivocation proof, and a block frame whose attestation does
+/// not cover the carried block are [`NodeError::SyncRejected`] (an
+/// attestation for one block stapled to another is an attack, not
+/// noise).
 pub fn decode_frame(group: &SchnorrGroup, bytes: &[u8]) -> Result<GossipFrame, NodeError> {
-    let (&kind, rest) = bytes
-        .split_first()
-        .ok_or(NodeError::Codec(CodecError::Truncated))?;
-    let payload = authenticate(rest).ok_or(NodeError::SyncRejected {
+    if bytes.is_empty() {
+        return Err(NodeError::Codec(CodecError::Truncated));
+    }
+    let (kind, payload) = open_frame(bytes).ok_or(NodeError::SyncRejected {
         reason: "gossip frame failed digest authentication",
     })?;
     match kind {
         KIND_BLOCK => {
-            let (attestation, used) = Attestation::decode(group, payload)
-                .ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let block = decode_block(group, &payload[used..])?;
+            let mut r = Reader::new(payload);
+            let attestation = Attestation::decode(group, &mut r)?;
+            let block = decode_block(group, r.rest())?;
             if attestation.hash != block.hash() || attestation.height != block.header.height.0 {
                 return Err(NodeError::SyncRejected {
                     reason: "attestation does not cover the carried block",
@@ -184,53 +167,35 @@ pub fn decode_frame(group: &SchnorrGroup, bytes: &[u8]) -> Result<GossipFrame, N
             }
             Ok(GossipFrame::Block { attestation, block })
         }
-        KIND_TIP => {
-            if payload.len() != 48 {
-                return Err(NodeError::Codec(CodecError::Truncated));
-            }
-            let sender = u64le(&payload[..8]).ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let height = u64le(&payload[8..16]).ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let tip: Digest = payload[16..48]
-                .try_into()
-                .map_err(|_| NodeError::Codec(CodecError::Truncated))?;
+        KIND_TIP => parse_exact(payload, |r| {
             Ok(GossipFrame::Tip {
-                sender: sender as usize,
-                height,
-                tip,
+                sender: r.u64()? as usize,
+                height: r.u64()?,
+                tip: r.array()?,
             })
-        }
-        KIND_RANGE => {
-            if payload.len() != 24 {
-                return Err(NodeError::Codec(CodecError::Truncated));
-            }
-            let requester = u64le(&payload[..8]).ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let from = u64le(&payload[8..16]).ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let to = u64le(&payload[16..24]).ok_or(NodeError::Codec(CodecError::Truncated))?;
+        })
+        .map_err(NodeError::Codec),
+        KIND_RANGE => parse_exact(payload, |r| {
             Ok(GossipFrame::Range {
-                requester: requester as usize,
-                from,
-                to,
+                requester: r.u64()? as usize,
+                from: r.u64()?,
+                to: r.u64()?,
             })
-        }
+        })
+        .map_err(NodeError::Codec),
         KIND_EVIDENCE => EquivocationProof::from_bytes(group, payload)
             .map(GossipFrame::Evidence)
-            .ok_or(NodeError::SyncRejected {
+            .map_err(|_| NodeError::SyncRejected {
                 reason: "equivocation proof failed verification",
             }),
-        KIND_REFUSAL => {
-            if payload.len() != 24 {
-                return Err(NodeError::Codec(CodecError::Truncated));
-            }
-            let server = u64le(&payload[..8]).ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let requested =
-                u64le(&payload[8..16]).ok_or(NodeError::Codec(CodecError::Truncated))?;
-            let cap = u64le(&payload[16..24]).ok_or(NodeError::Codec(CodecError::Truncated))?;
+        KIND_REFUSAL => parse_exact(payload, |r| {
             Ok(GossipFrame::Refusal {
-                server: server as usize,
-                requested,
-                cap,
+                server: r.u64()? as usize,
+                requested: r.u64()?,
+                cap: r.u64()?,
             })
-        }
+        })
+        .map_err(NodeError::Codec),
         _ => Err(NodeError::SyncRejected {
             reason: "unknown gossip frame kind",
         }),

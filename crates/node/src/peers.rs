@@ -43,7 +43,9 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain};
+use dams_blockchain::{
+    parse_exact, signature_from_bytes, signature_to_bytes, Block, Chain, CodecError, Reader,
+};
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, PublicKey, RingSignature, SchnorrGroup};
 use dams_diversity::{DiversityRequirement, RingSet};
@@ -266,31 +268,20 @@ impl Attestation {
         out
     }
 
-    /// Decode one attestation from the front of `buf`; returns it and the
-    /// number of bytes consumed. `None` on any structural problem — this
-    /// is a fuzz-target path and must never panic.
-    pub fn decode(group: &SchnorrGroup, buf: &[u8]) -> Option<(Self, usize)> {
-        if buf.len() < 50 {
-            return None;
-        }
-        let origin = u64::from_le_bytes(buf[..8].try_into().ok()?);
-        let height = u64::from_le_bytes(buf[8..16].try_into().ok()?);
-        let hash: Digest = buf[16..48].try_into().ok()?;
-        let sig_len = u16::from_le_bytes(buf[48..50].try_into().ok()?) as usize;
-        let end = 50usize.checked_add(sig_len)?;
-        if buf.len() < end {
-            return None;
-        }
-        let sig = signature_from_bytes(group, &buf[50..end]).ok()?;
-        Some((
-            Attestation {
-                origin,
-                height,
-                hash,
-                sig,
-            },
-            end,
-        ))
+    /// Decode one attestation from `r` (a fuzz-target path: every
+    /// malformed input is a typed [`CodecError`], never a panic).
+    pub fn decode(group: &SchnorrGroup, r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let origin = r.u64()?;
+        let height = r.u64()?;
+        let hash = r.array()?;
+        let sig_len = r.u16()? as usize;
+        let sig = signature_from_bytes(group, r.bytes(sig_len)?)?;
+        Ok(Attestation {
+            origin,
+            height,
+            hash,
+            sig,
+        })
     }
 }
 
@@ -330,14 +321,14 @@ impl EquivocationProof {
         out
     }
 
-    /// Decode a proof; `None` on anything malformed (fuzz-target path).
-    pub fn from_bytes(group: &SchnorrGroup, buf: &[u8]) -> Option<Self> {
-        let (a, used) = Attestation::decode(group, buf)?;
-        let (b, used_b) = Attestation::decode(group, &buf[used..])?;
-        if used + used_b != buf.len() {
-            return None;
-        }
-        Some(EquivocationProof { a, b })
+    /// Decode a proof, rejecting trailing bytes (fuzz-target path).
+    pub fn from_bytes(group: &SchnorrGroup, buf: &[u8]) -> Result<Self, CodecError> {
+        parse_exact(buf, |r| {
+            Ok(EquivocationProof {
+                a: Attestation::decode(group, r)?,
+                b: Attestation::decode(group, r)?,
+            })
+        })
     }
 
     /// Dedup key for the re-gossip set.
@@ -414,8 +405,8 @@ struct PeerState {
     pressure: u64,
     /// Consecutive unanswered-range strikes.
     stale_strikes: u32,
-    /// height → (hash, encoded attestation) of blocks this peer attested.
-    attested: HashMap<u64, (Digest, Vec<u8>)>,
+    /// height → attestation of the block this peer attested there.
+    attested: HashMap<u64, Attestation>,
 }
 
 impl PeerState {
@@ -736,18 +727,13 @@ impl PeerDefense {
         let origin = att.origin as usize;
         let state = self.peers.get_mut(origin)?;
         match state.attested.get(&att.height) {
-            Some((hash, prior_bytes)) if *hash != att.hash => {
-                let (prior, _) = Attestation::decode(&self.group, prior_bytes)?;
-                Some(EquivocationProof {
-                    a: prior,
-                    b: att.clone(),
-                })
-            }
+            Some(prior) if prior.hash != att.hash => Some(EquivocationProof {
+                a: prior.clone(),
+                b: att.clone(),
+            }),
             Some(_) => None,
             None => {
-                state
-                    .attested
-                    .insert(att.height, (att.hash, att.to_bytes()));
+                state.attested.insert(att.height, att.clone());
                 None
             }
         }
@@ -843,8 +829,7 @@ mod tests {
             Attestation::sign(&group, 1, 5, [7u8; 32], &ids[1], &mut rng).unwrap();
         assert!(att.verify(&group, &ids.iter().map(|k| k.public).collect::<Vec<_>>()));
         let bytes = att.to_bytes();
-        let (back, used) = Attestation::decode(&group, &bytes).unwrap();
-        assert_eq!(used, bytes.len());
+        let back = parse_exact(&bytes, |r| Attestation::decode(&group, r)).unwrap();
         assert_eq!(back, att);
         // Signed by the wrong identity → fails against the directory.
         let forged =
@@ -880,9 +865,15 @@ mod tests {
         let b = Attestation::sign(&group, 1, 2, [5u8; 32], &ids[1], &mut rng).unwrap();
         let proof = EquivocationProof { a, b };
         let bytes = proof.to_bytes();
-        assert_eq!(EquivocationProof::from_bytes(&group, &bytes), Some(proof));
-        assert!(EquivocationProof::from_bytes(&group, &bytes[..bytes.len() - 1]).is_none());
-        assert!(EquivocationProof::from_bytes(&group, &[]).is_none());
+        assert_eq!(EquivocationProof::from_bytes(&group, &bytes), Ok(proof));
+        assert!(EquivocationProof::from_bytes(&group, &bytes[..bytes.len() - 1]).is_err());
+        assert!(EquivocationProof::from_bytes(&group, &[]).is_err());
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(
+            EquivocationProof::from_bytes(&group, &longer),
+            Err(CodecError::TrailingBytes(1))
+        );
     }
 
     #[test]

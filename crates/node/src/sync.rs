@@ -25,17 +25,18 @@
 //! paper's (c, ℓ)-diversity evidence is re-verified across the hand-off,
 //! so a peer cannot launder a violated claim through a checkpoint.
 //!
-//! A bundle travels in the gossip frame codec under its own kind,
-//! [`KIND_BUNDLE`]: `kind ‖ sha256(payload) ‖ payload`. A digest mismatch
-//! or a frame of any other kind is a typed [`NodeError::SyncRejected`],
-//! never a partially-applied sync.
+//! A bundle travels in the one frame envelope,
+//! [`dams_blockchain::seal_frame`]'s `kind ‖ sha256(payload) ‖ payload`,
+//! under its own kind, [`KIND_BUNDLE`]. A digest mismatch or a frame of
+//! any other kind is a typed [`NodeError::SyncRejected`], never a
+//! partially-applied sync.
 
-use dams_blockchain::decode_block;
+use dams_blockchain::{decode_block, open_frame, seal_frame, Reader};
 use dams_store::wal::{self, TailStatus, TAG_BLOCK};
 use dams_store::{group_fingerprint, CatchUpBundle, MemBackend, StoreConfig};
 
 use crate::error::NodeError;
-use crate::gossip::{authenticate, frame_typed, KIND_BUNDLE};
+use crate::gossip::KIND_BUNDLE;
 use crate::network::{BlockAnnouncement, NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 
@@ -66,34 +67,33 @@ fn encode_bundle(bundle: &CatchUpBundle) -> Vec<u8> {
     payload.extend_from_slice(&(bundle.checkpoint.len() as u64).to_le_bytes());
     payload.extend_from_slice(&bundle.checkpoint);
     payload.extend_from_slice(&bundle.wal);
-    frame_typed(KIND_BUNDLE, &payload)
+    seal_frame(KIND_BUNDLE, &payload)
 }
 
 /// Authenticate and split a bundle frame into `(checkpoint, wal)` images.
+/// The kind is judged before the digest, so a frame of another kind is
+/// refused without hashing its payload.
 fn decode_bundle(frame: &[u8]) -> Result<(Vec<u8>, Vec<u8>), NodeError> {
     let reject = |reason| {
         NodeMetrics::global().sync_rejected.inc();
         Err(NodeError::SyncRejected { reason })
     };
-    let Some((&kind, rest)) = frame.split_first() else {
-        return reject("empty bundle frame");
-    };
-    if kind != KIND_BUNDLE {
-        return reject("frame is not a catch-up bundle");
+    match frame.first() {
+        None => return reject("empty bundle frame"),
+        Some(&kind) if kind != KIND_BUNDLE => return reject("frame is not a catch-up bundle"),
+        Some(_) => {}
     }
-    let Some(payload) = authenticate(rest) else {
+    let Some((_, payload)) = open_frame(frame) else {
         return reject("bundle digest mismatch");
     };
-    let Some(len_bytes) = payload.get(..8).and_then(|b| <[u8; 8]>::try_from(b).ok()) else {
+    let mut r = Reader::new(payload);
+    let Ok(cp_len) = r.u64() else {
         return reject("bundle length prefix truncated");
     };
-    let cp_len = u64::from_le_bytes(len_bytes) as usize;
-    let rest = &payload[8..];
-    if cp_len > rest.len() {
+    let Some(cp) = usize::try_from(cp_len).ok().and_then(|n| r.bytes(n).ok()) else {
         return reject("bundle checkpoint length exceeds payload");
-    }
-    let (cp, wal) = rest.split_at(cp_len);
-    Ok((cp.to_vec(), wal.to_vec()))
+    };
+    Ok((cp.to_vec(), r.rest().to_vec()))
 }
 
 /// Export `peer`'s durable state as one authenticated catch-up frame.

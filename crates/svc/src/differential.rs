@@ -1,6 +1,6 @@
 //! The sim-vs-real differential oracle.
 //!
-//! The virtual-tick [`Service`](crate::service::Service) is the *model*:
+//! The virtual-tick [`Service`] is the *model*:
 //! deterministic, instantly-settling, trivially auditable. The
 //! [`runtime`](crate::runtime) is the *implementation*: real threads,
 //! a real wire, real completion races. This module replays the **same

@@ -14,7 +14,8 @@
 //! Wall clocks cannot do that, so the service runs on a **virtual tick
 //! clock**. Work is priced in ticks from each selection's own work
 //! counters, queue wait is tick arithmetic, and the request deadline is
-//! handed to the solver as a *virtual* [`Deadline::Ticks`] budget — the
+//! handed to the solver as a *virtual*
+//! [`Deadline::Ticks`](dams_diversity::Deadline::Ticks) budget — the
 //! same currency end-to-end. Every draw of randomness (arrival jitter,
 //! retry backoff, breaker jitter, stalls) comes from one seeded stream
 //! on the single event-loop thread.

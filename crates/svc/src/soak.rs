@@ -3,10 +3,10 @@
 //!
 //! Each phase (a target chain size) has two halves:
 //!
-//! 1. **Grow** — stream [`BlockDelta`]s from the constant-memory
-//!    [`ChainStream`] into a [`DiversityIndex`] until the chain reaches
-//!    the phase's token count, recording the per-block maintenance cost
-//!    the index reports (`IndexStats::last_block_ops`).
+//! 1. **Grow** — stream [`BlockDelta`](dams_core::BlockDelta)s from the
+//!    constant-memory [`ChainStream`] into a [`DiversityIndex`] until the
+//!    chain reaches the phase's token count, recording the per-block
+//!    maintenance cost the index reports (`IndexStats::last_block_ops`).
 //! 2. **Serve** — fire a fixed number of admission-controlled selections
 //!    through one [`Frontend`] (one breaker, one tick economy) at
 //!    uniformly random tokens. Each request resolves its batch snapshot

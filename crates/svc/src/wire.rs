@@ -8,19 +8,23 @@
 //! └── body = everything after len; len = 33 + payload.len() ──┘
 //! ```
 //!
-//! This reuses the node layer's framing discipline (`kind ‖ digest ‖
-//! payload`, see `dams-node`'s gossip codec) with a length prefix added
-//! so frames can stream over a real byte pipe: the reader knows how many
-//! bytes to pull before it can judge the frame at all. The digest makes
-//! every frame self-authenticating — any single-byte flip in kind,
-//! digest, or payload is detected before the payload is interpreted, and
-//! the fuzz tests pin that down with the same single-byte-flip adversary
-//! `codec_fuzz.rs` runs against the block codec.
+//! The body is the one frame envelope of `dams-blockchain`'s codec,
+//! sealed ([`seal_frame_into`]) and opened ([`open_frame`]) exactly as
+//! `dams-node`'s gossip frames and catch-up bundles are; this module adds
+//! only the length prefix a byte stream needs (the reader knows how many
+//! bytes to pull before it can judge the frame at all), [`MAX_FRAME`] and
+//! [`FrameReader`]. The digest makes every frame self-authenticating: a
+//! flip in digest or payload is caught before the payload is interpreted,
+//! and a flipped kind byte names an unknown kind or one whose fixed
+//! payload size refuses the payload. The fuzz tests pin that down with the
+//! same single-byte-flip adversary `codec_fuzz.rs` runs against the block
+//! codec.
 //!
 //! Decoding is strict and total: every malformed input yields a typed
 //! [`WireError`], never a panic and never a silently resynchronized
-//! stream. Payload schemas are fixed-width little-endian, so encode →
-//! decode is byte-exact (golden vectors in the tests).
+//! stream. Payload schemas are fixed-width little-endian, parsed with the
+//! codec's bounds-checked [`Reader`], so encode → decode is byte-exact
+//! (golden vectors in the tests).
 //!
 //! [`duplex_pair`] provides the in-process transport — two cross-wired
 //! blocking byte pipes implementing [`io::Read`]/[`io::Write`] — and the
@@ -30,7 +34,8 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
 
-use dams_crypto::sha256::sha256;
+use dams_blockchain::codec::{seal_frame_into, FRAME_OVERHEAD};
+use dams_blockchain::{open_frame, parse_exact, CodecError, Reader};
 
 use crate::service::{Priority, ShedReason};
 
@@ -44,9 +49,6 @@ pub const KIND_SHUTDOWN: u8 = 4;
 /// above any legitimate message; a length prefix past it is rejected
 /// before any allocation, so a corrupted prefix cannot OOM the reader.
 pub const MAX_FRAME: usize = 1 << 20;
-
-/// Bytes of framing before the payload: `kind` + 32-byte digest.
-const FRAME_OVERHEAD: usize = 33;
 
 /// Why a frame failed to decode (typed: the fuzz gate asserts every
 /// corruption lands in one of these, never a panic).
@@ -159,14 +161,6 @@ impl WireRequest {
     }
 }
 
-fn u64le(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().expect("8 bytes"))
-}
-
-fn u32le(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().expect("4 bytes"))
-}
-
 impl Message {
     fn kind(&self) -> u8 {
         match self {
@@ -217,32 +211,33 @@ impl Message {
         let body_len = FRAME_OVERHEAD + payload.len();
         let mut out = Vec::with_capacity(4 + body_len);
         out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        out.push(self.kind());
-        out.extend_from_slice(&sha256(&payload));
-        out.extend_from_slice(&payload);
+        seal_frame_into(&mut out, self.kind(), &payload);
         out
     }
+}
+
+/// Parse a fixed-layout payload of `kind`; any length mismatch is
+/// `BadPayload { kind, detail }`.
+fn fixed<'a, T>(
+    p: &'a [u8],
+    kind: &'static str,
+    detail: &'static str,
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, WireError> {
+    parse_exact(p, parse).map_err(|_| WireError::BadPayload { kind, detail })
 }
 
 fn decode_payload(kind: u8, p: &[u8]) -> Result<Message, WireError> {
     match kind {
         KIND_HELLO => {
-            if p.len() != 8 {
-                return Err(WireError::BadPayload {
-                    kind: "hello",
-                    detail: "expected 8 bytes",
-                });
-            }
-            Ok(Message::Hello(Hello { tenant: u64le(p) }))
+            let tenant = fixed(p, "hello", "expected 8 bytes", |r| r.u64())?;
+            Ok(Message::Hello(Hello { tenant }))
         }
         KIND_REQUEST => {
-            if p.len() != 37 {
-                return Err(WireError::BadPayload {
-                    kind: "request",
-                    detail: "expected 37 bytes",
-                });
-            }
-            let flags = p[36];
+            let (tick, id, tenant, target, budget, flags) =
+                fixed(p, "request", "expected 37 bytes", |r| {
+                    Ok((r.u64()?, r.u64()?, r.u64()?, r.u32()?, r.u64()?, r.u8()?))
+                })?;
             if flags & !0b11 != 0 {
                 return Err(WireError::BadPayload {
                     kind: "request",
@@ -250,23 +245,20 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Message, WireError> {
                 });
             }
             Ok(Message::Request(WireRequest {
-                tick: u64le(&p[0..8]),
-                id: u64le(&p[8..16]),
-                tenant: u64le(&p[16..24]),
-                target: u32le(&p[24..28]),
-                budget: u64le(&p[28..36]),
+                tick,
+                id,
+                tenant,
+                target,
+                budget,
                 interactive: flags & 1 != 0,
                 require_exact: flags & 2 != 0,
             }))
         }
         KIND_RESPONSE => {
-            if p.len() != 10 {
-                return Err(WireError::BadPayload {
-                    kind: "response",
-                    detail: "expected 10 bytes",
-                });
-            }
-            let outcome = match (p[8], p[9]) {
+            let (id, code, arg) = fixed(p, "response", "expected 10 bytes", |r| {
+                Ok((r.u64()?, r.u8()?, r.u8()?))
+            })?;
+            let outcome = match (code, arg) {
                 (0, arg) if arg & !0b11 == 0 => WireOutcome::Completed {
                     met: arg & 1 != 0,
                     degraded: arg & 2 != 0,
@@ -283,56 +275,50 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Message, WireError> {
                     })
                 }
             };
-            Ok(Message::Response(WireResponse {
-                id: u64le(&p[0..8]),
-                outcome,
-            }))
+            Ok(Message::Response(WireResponse { id, outcome }))
         }
         KIND_SHUTDOWN => {
-            if !p.is_empty() {
-                return Err(WireError::BadPayload {
-                    kind: "shutdown",
-                    detail: "expected empty payload",
-                });
-            }
+            fixed(p, "shutdown", "expected empty payload", |_| Ok(()))?;
             Ok(Message::Shutdown)
         }
         other => Err(WireError::UnknownKind(other)),
     }
 }
 
+/// Read and bound the `u32` length prefix at the front of `buf`: the
+/// body length it announces.
+#[inline]
+fn body_len(buf: &[u8]) -> Result<usize, WireError> {
+    let len = Reader::new(buf).u32().map_err(|_| WireError::Truncated {
+        needed: 4,
+        got: buf.len(),
+    })? as usize;
+    if len > MAX_FRAME {
+        return Err(WireError::FrameTooLarge { len });
+    }
+    if len < FRAME_OVERHEAD {
+        return Err(WireError::FrameTooSmall { len });
+    }
+    Ok(len)
+}
+
+/// Open and parse one frame body (`kind ‖ digest ‖ payload`).
+#[inline]
+fn decode_body(body: &[u8]) -> Result<Message, WireError> {
+    let (kind, payload) = open_frame(body).ok_or(WireError::DigestMismatch)?;
+    decode_payload(kind, payload)
+}
+
 /// Decode one frame from the front of `buf`. Returns the message and how
 /// many bytes it consumed. Total: every input is either a decoded frame
 /// or a typed error.
 pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), WireError> {
-    if buf.len() < 4 {
-        return Err(WireError::Truncated {
-            needed: 4,
-            got: buf.len(),
-        });
-    }
-    let body_len = u32le(&buf[0..4]) as usize;
-    if body_len > MAX_FRAME {
-        return Err(WireError::FrameTooLarge { len: body_len });
-    }
-    if body_len < FRAME_OVERHEAD {
-        return Err(WireError::FrameTooSmall { len: body_len });
-    }
-    let total = 4 + body_len;
-    if buf.len() < total {
-        return Err(WireError::Truncated {
-            needed: total,
-            got: buf.len(),
-        });
-    }
-    let kind = buf[4];
-    let digest = &buf[5..37];
-    let payload = &buf[37..total];
-    if sha256(payload).as_slice() != digest {
-        return Err(WireError::DigestMismatch);
-    }
-    let msg = decode_payload(kind, payload)?;
-    Ok((msg, total))
+    let total = 4 + body_len(buf)?;
+    let body = buf.get(4..total).ok_or(WireError::Truncated {
+        needed: total,
+        got: buf.len(),
+    })?;
+    decode_body(body).map(|msg| (msg, total))
 }
 
 /// Incremental frame decoder over any byte stream. One instance per
@@ -352,62 +338,37 @@ impl<R: Read> FrameReader<R> {
     /// mid-frame is [`WireError::Truncated`].
     pub fn read_frame(&mut self) -> Result<Option<Message>, WireError> {
         let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut self.inner, &mut len_buf)? {
-            Filled::Eof => return Ok(None),
-            Filled::Partial(got) => {
-                return Err(WireError::Truncated { needed: 4, got });
-            }
-            Filled::Full => {}
+        match read_up_to_eof(&mut self.inner, &mut len_buf)? {
+            0 => return Ok(None),
+            4 => {}
+            got => return Err(WireError::Truncated { needed: 4, got }),
         }
-        let body_len = u32::from_le_bytes(len_buf) as usize;
-        if body_len > MAX_FRAME {
-            return Err(WireError::FrameTooLarge { len: body_len });
-        }
-        if body_len < FRAME_OVERHEAD {
-            return Err(WireError::FrameTooSmall { len: body_len });
-        }
+        let body_len = body_len(&len_buf)?;
         let mut body = vec![0u8; body_len];
-        match read_exact_or_eof(&mut self.inner, &mut body)? {
-            Filled::Full => {}
-            Filled::Eof | Filled::Partial(_) => {
-                return Err(WireError::Truncated {
-                    needed: 4 + body_len,
-                    got: 4,
-                });
-            }
+        let got = read_up_to_eof(&mut self.inner, &mut body)?;
+        if got < body_len {
+            return Err(WireError::Truncated {
+                needed: 4 + body_len,
+                got: 4 + got,
+            });
         }
-        let mut frame = Vec::with_capacity(4 + body_len);
-        frame.extend_from_slice(&len_buf);
-        frame.extend_from_slice(&body);
-        decode_frame(&frame).map(|(msg, _)| Some(msg))
+        decode_body(&body).map(Some)
     }
 }
 
-enum Filled {
-    Full,
-    Eof,
-    Partial(usize),
-}
-
-/// `read_exact` that distinguishes EOF-before-anything from EOF-midway
-/// (the former is a clean close, the latter a truncated frame).
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Filled, WireError> {
+/// Fill `buf` unless EOF comes first; returns how many bytes arrived
+/// (none is a clean close at a frame boundary, some a truncated frame).
+fn read_up_to_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    Filled::Eof
-                } else {
-                    Filled::Partial(filled)
-                });
-            }
+            Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(WireError::Io(e.to_string())),
         }
     }
-    Ok(Filled::Full)
+    Ok(filled)
 }
 
 /// Write one message as a frame.
@@ -617,10 +578,13 @@ mod tests {
         client.write_all(&bytes[..bytes.len() - 3]).expect("writes");
         client.close();
         let mut reader = FrameReader::new(server);
-        assert!(matches!(
+        assert_eq!(
             reader.read_frame(),
-            Err(WireError::Truncated { .. })
-        ));
+            Err(WireError::Truncated {
+                needed: bytes.len(),
+                got: bytes.len() - 3,
+            })
+        );
     }
 
     #[test]

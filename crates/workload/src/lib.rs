@@ -23,15 +23,13 @@ pub mod real;
 pub mod sampler;
 pub mod streaming;
 pub mod synthetic;
-pub mod trace;
 
 pub use adversarial::BurstSchedule;
 pub use arrivals::{parse_trace, render_trace, ArrivalEvent, TraceError};
 pub use attack_trace::{generate_attack_trace, AttackTraceConfig};
 pub use openloop::{shard_round_robin, OpenLoop};
 pub use real::{monero_snapshot, output_histogram};
-pub use sampler::{measure, measure_framework, MeasuredPoint};
+pub use sampler::{measure, MeasuredPoint};
 pub use simulation::{simulate_batch, SimulationConfig, SimulationOutcome};
 pub use streaming::{ChainStream, StreamConfig};
 pub use synthetic::{small_universe, HtModel, SyntheticConfig};
-pub use trace::{run_trace, TraceConfig, TraceOutcome};

@@ -21,7 +21,7 @@ cargo test --release --offline --manifest-path spendbench/Cargo.toml
 python3 -m unittest discover -s spendbench
 
 echo "== docs =="
-cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== examples =="
 for ex in quickstart adversary evoting healthcare fee_saver storage_sharing multi_input; do
